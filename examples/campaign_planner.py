@@ -12,7 +12,7 @@ by scheduling transfers and/or reducing concurrency and parallelism".
 
 The planner uses only trained per-edge models (no probing):
 
-1. asks :class:`TunableAdvisor` about tunables — and honestly reports when
+1. asks :class:`SweepAdvisor` about tunables — and honestly reports when
    the model cannot differentiate them (the history's C/P never varied:
    the paper's low-variance elimination);
 2. orders admissions with :class:`AdmissionPlanner`, capping simultaneous
@@ -26,14 +26,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core import (
-    AdmissionPlanner,
-    OnlineFeatureEstimator,
-    TunableAdvisor,
-    build_feature_matrix,
-    fit_edge_model,
-)
+from repro.core import AdmissionPlanner, build_feature_matrix, fit_edge_model
 from repro.core.pipeline import GBTSettings
+from repro.serve import ActiveSet, SweepAdvisor
 from repro.sim import (
     TransferRequest,
     TransferService,
@@ -105,9 +100,7 @@ def main() -> None:
     # Step 1: can the models advise on tunables?  The history's C and P
     # never varied (the paper eliminates them for low variance), so the
     # advisor should report low confidence — and we keep user tunables.
-    advisor = TunableAdvisor(
-        models[CAMPAIGN_EDGES[0]], OnlineFeatureEstimator([])
-    )
+    advisor = SweepAdvisor(models[CAMPAIGN_EDGES[0]], ActiveSet())
     rec = advisor.recommend(backlog[0])
     print(
         f"\ntunable advice on {CAMPAIGN_EDGES[0][0]}->{CAMPAIGN_EDGES[0][1]}: "

@@ -48,8 +48,6 @@ from repro.core.online import (
     active_views_from_log,
 )
 from repro.core.advisor import (
-    TunableAdvisor,
-    TunableRecommendation,
     SourceSelector,
     AdmissionPlanner,
     PlannedTransfer,
@@ -82,8 +80,6 @@ __all__ = [
     "OnlineFeatureEstimator",
     "OnlinePredictor",
     "active_views_from_log",
-    "TunableAdvisor",
-    "TunableRecommendation",
     "SourceSelector",
     "AdmissionPlanner",
     "PlannedTransfer",

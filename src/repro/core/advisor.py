@@ -4,9 +4,6 @@ The paper's conclusions point at two levers: "aggregate performance can be
 improved by scheduling transfers and/or reducing concurrency and
 parallelism."  This module turns a fitted model into that advice:
 
-- :class:`TunableAdvisor` — sweep candidate (C, P) pairs through a model to
-  recommend tunables for a dataset under current load (the paper's [4]
-  HARP-style decision, but with zero probing);
 - :class:`SourceSelector` — rank replica sources by predicted rate (the
   scheduling_advisor example's logic as a library API);
 - :class:`AdmissionPlanner` — order a backlog of transfer requests across
@@ -15,30 +12,24 @@ parallelism."  This module turns a fitted model into that advice:
 All advice is *model-driven*: nothing here talks to the simulator, so the
 same code would run against models trained on real logs.
 
-These are the scalar reference implementations: one candidate, one
-prediction.  The production path is :mod:`repro.serve.advise`, which runs
-the same sweep as a single :class:`~repro.serve.BatchOnlinePredictor`
-call (all candidates in one feature matrix), clips by the Eq. 1 bound,
-tags every answer with its :class:`~repro.serve.ModelTier`, and upgrades
-the planner into a fleet scheduler over a live
-:class:`~repro.serve.ActiveSet`.  The scalar paths below stay because the
-batch ones are verified bit-identical against them (the ``repro-tools
-bench`` advise parity gate).
+The (C, P) tunable sweep (the paper's [4] HARP-style decision, but with
+zero probing) is :class:`repro.serve.SweepAdvisor`, which scores all
+candidates in one :class:`~repro.serve.BatchOnlinePredictor` call;
+:data:`DEFAULT_TUNABLE_GRID` is its candidate grid.
+:class:`repro.serve.FleetScheduler` is the production successor of
+:class:`AdmissionPlanner`: it degrades through a fallback chain and
+schedules against a live :class:`~repro.serve.ActiveSet`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from repro.core.online import ActiveTransferView, OnlineFeatureEstimator, OnlinePredictor
 from repro.core.pipeline import EdgeModelResult, GlobalModelResult
 from repro.sim.gridftp import TransferRequest
 
 __all__ = [
-    "TunableRecommendation",
-    "TunableAdvisor",
     "SourceSelector",
     "PlannedTransfer",
     "AdmissionPlanner",
@@ -49,107 +40,6 @@ DEFAULT_TUNABLE_GRID: tuple[tuple[int, int], ...] = (
     (1, 1), (1, 4), (2, 2), (2, 4), (2, 8),
     (4, 2), (4, 4), (4, 8), (8, 4), (8, 8), (16, 4),
 )
-
-
-@dataclass(frozen=True)
-class TunableRecommendation:
-    """Outcome of a tunable sweep.
-
-    Attributes
-    ----------
-    concurrency, parallelism:
-        The recommended pair.
-    predicted_rate:
-        Model-predicted rate at the recommendation, bytes/s.
-    alternatives:
-        (C, P, predicted rate) for every candidate evaluated, best first.
-    """
-
-    concurrency: int
-    parallelism: int
-    predicted_rate: float
-    alternatives: tuple[tuple[int, int, float], ...]
-
-    @property
-    def degenerate(self) -> bool:
-        """True when any candidate predicted a non-positive or non-finite
-        rate — the sweep carries no usable preference signal."""
-        return any(
-            not np.isfinite(alt[2]) or alt[2] <= 0.0
-            for alt in self.alternatives
-        )
-
-    @property
-    def gain_over_worst(self) -> float:
-        """Predicted speedup of best over worst candidate.
-
-        A degenerate sweep (some candidate at rate <= 0, e.g. a model
-        predicting zero everywhere) reports 1.0 — "no gain" — rather than
-        the ``inf`` a naive best/worst ratio would produce; an all-zero
-        sweep must read as "nothing to act on", not "infinitely better".
-        """
-        if self.degenerate:
-            return 1.0
-        worst = self.alternatives[-1][2]
-        return self.predicted_rate / worst
-
-    @property
-    def confident(self) -> bool:
-        """Whether the model actually differentiates the candidates.
-
-        Models trained on logs where C and P never varied (the paper's
-        low-variance elimination) predict near-identical rates across the
-        grid; acting on such a "recommendation" would be noise-chasing.
-        Degenerate sweeps are never confident.
-        """
-        return not self.degenerate and self.gain_over_worst > 1.1
-
-
-class TunableAdvisor:
-    """Recommends (C, P) for a dataset on one edge under current load.
-
-    Notes
-    -----
-    Models trained on logs where C and P were eliminated for low variance
-    cannot see the tunables directly; the sweep still differentiates
-    candidates through ``min(C, Nf)``-driven stream/instance features.  For
-    a model that kept C/P, the sweep uses them directly.
-    """
-
-    def __init__(
-        self,
-        result: EdgeModelResult | GlobalModelResult,
-        estimator: OnlineFeatureEstimator,
-        grid: tuple[tuple[int, int], ...] = DEFAULT_TUNABLE_GRID,
-        extra_columns: dict[str, float] | None = None,
-    ) -> None:
-        if not grid:
-            raise ValueError("empty tunable grid")
-        for c, p in grid:
-            if c < 1 or p < 1:
-                raise ValueError(f"bad grid entry ({c}, {p})")
-        self._predictor = OnlinePredictor(
-            result, estimator, extra_columns=extra_columns or {}
-        )
-        self.grid = grid
-
-    def recommend(
-        self, request: TransferRequest, now: float = 0.0
-    ) -> TunableRecommendation:
-        """Sweep the grid for ``request`` (its own C/P are ignored)."""
-        scored = []
-        for c, p in self.grid:
-            candidate = replace(request, concurrency=c, parallelism=p)
-            rate = self._predictor.predict(candidate, now)
-            scored.append((c, p, rate))
-        scored.sort(key=lambda t: -t[2])
-        best = scored[0]
-        return TunableRecommendation(
-            concurrency=best[0],
-            parallelism=best[1],
-            predicted_rate=best[2],
-            alternatives=tuple(scored),
-        )
 
 
 class SourceSelector:

@@ -25,8 +25,6 @@ The weighted overlap sum is the difference of the two terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.logs.store import LogStore
@@ -118,38 +116,21 @@ class IntervalOverlapIndex:
             raise ValueError("queries must have b > a")
         return a, b
 
-    def overlap_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def overlap_sum_fast(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``sum_i w_i * O(i, [a, b])`` per query interval.
 
         Self-exclusion is the caller's job: if the query interval is itself
         a member with weight ``w_k``, subtract ``w_k * (b - a)``.  Returns
         shape ``(q,)`` for 1-D weights, ``(q, k)`` for ``(n, k)`` weights.
-        """
-        a, b = self._check_queries(a, b)
-        if self.n == 0:
-            out = np.zeros((a.size, self._w_by_ts.shape[0]))
-            return out if self._multi else out[:, 0]
-
-        # Counts/sums via searchsorted against the sorted arrays.
-        # {Te <= t}: side='right' on te_sorted.
-        idx_te_a = np.searchsorted(self._te_sorted, a, side="right")
-        idx_te_b = np.searchsorted(self._te_sorted, b, side="right")
-        # {Ts < t}: side='left' on ts_sorted; {Ts <= t}: side='right'.
-        idx_ts_b = np.searchsorted(self._ts_sorted, b, side="left")
-        idx_ts_a_le = np.searchsorted(self._ts_sorted, a, side="right")
-        out = self._eval(idx_te_a, idx_te_b, idx_ts_b, idx_ts_a_le, a, b)
-        return out.T if self._multi else out[0]
-
-    def overlap_sum_fast(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """:meth:`overlap_sum` with sorted-query binary searches.
 
         ``np.searchsorted`` pays a branch misprediction per bisection step
         when consecutive queries land in unrelated parts of the array;
         pre-sorting the queries makes each search several times faster, and
         for batch queries the argsort + scatter overhead is small.  The
         search results are the same integers either way, so the output is
-        bit-identical to :meth:`overlap_sum` (the groupby contention engine
-        relies on this for its parity fingerprint).
+        bit-identical to the unsorted-query oracle
+        (``repro.reference.ReferenceIntervalIndex.overlap_sum``), which the
+        contention parity fingerprint relies on.
         """
         a, b = self._check_queries(a, b)
         if self.n == 0:
@@ -174,53 +155,6 @@ class IntervalOverlapIndex:
         )
         return out.T if self._multi else out[0]
 
-    def _eval(
-        self,
-        idx_te_a: np.ndarray,
-        idx_te_b: np.ndarray,
-        idx_ts_b: np.ndarray,
-        idx_ts_a_le: np.ndarray,
-        a: np.ndarray,
-        b: np.ndarray,
-    ) -> np.ndarray:
-        """Reference evaluation of the prefix-sum identity, shape (k, q).
-
-        This is the pre-optimisation arithmetic, kept verbatim (modulo the
-        transposed table layout) as the baseline :meth:`overlap_sum` body;
-        :meth:`_eval_lean` is the allocation-free variant and must stay
-        bit-identical to it.
-        """
-        w_te_le_a = self._w_by_te[:, idx_te_a]
-        w_te_le_b = self._w_by_te[:, idx_te_b]
-        wte_le_a = self._wte_by_te[:, idx_te_a]
-        wte_le_b = self._wte_by_te[:, idx_te_b]
-        w_ts_lt_b = self._w_by_ts[:, idx_ts_b]
-        w_ts_le_a = self._w_by_ts[:, idx_ts_a_le]
-        wts_lt_b = self._wts_by_ts[:, idx_ts_b]
-        wts_le_a = self._wts_by_ts[:, idx_ts_a_le]
-
-        a_row = a[None, :]
-        b_row = b[None, :]
-        term_min = wte_le_b + b_row * (w_ts_lt_b - w_te_le_b) - wte_le_a
-        term_max = a_row * (w_ts_le_a - w_te_le_a) + (wts_lt_b - wts_le_a)
-        out = term_min - term_max
-        # The prefix sums feeding the identity can be ~1e14 while the true
-        # answer is exactly zero; double-precision cancellation then leaves
-        # residue of either sign.  Clamp anything within 1e-12 of the
-        # intermediate magnitude to zero (overlaps that small are
-        # physically meaningless).
-        noise = 1e-12 * (
-            np.abs(wte_le_b)
-            + np.abs(wte_le_a)
-            + np.abs(b_row) * (w_ts_lt_b + w_te_le_b)
-            + np.abs(a_row) * (w_ts_le_a + w_te_le_a)
-            + np.abs(wts_lt_b)
-            + np.abs(wts_le_a)
-        )
-        out[np.abs(out) <= noise] = 0.0
-        np.maximum(out, 0.0, out=out)
-        return out
-
     def _eval_lean(
         self,
         idx_te_a: np.ndarray,
@@ -231,8 +165,11 @@ class IntervalOverlapIndex:
         b: np.ndarray,
         nonneg: bool,
     ) -> np.ndarray:
-        """Same identity and clamp as :meth:`_eval`, bit-for-bit, but with
-        in-place updates on the gathered buffers (the gathers are the only
+        """The prefix-sum identity and its noise clamp, shape (k, q).
+
+        Bit-for-bit the reference evaluation
+        (``repro.reference.ReferenceIntervalIndex``), but with in-place
+        updates on the gathered buffers (the gathers are the only
         allocations that survive) and, when ``nonneg`` is True, the |x|
         calls elided — on all-nonnegative data abs() is the identity, so
         the elision cannot change a single bit.
@@ -248,8 +185,13 @@ class IntervalOverlapIndex:
 
         a_row = a[None, :]
         b_row = b[None, :]
-        # Noise bound first (it reads every gather), then the gathers double
-        # as scratch for the terms.  Sum order matches _eval exactly.
+        # The prefix sums feeding the identity can be ~1e14 while the true
+        # answer is exactly zero; double-precision cancellation then leaves
+        # residue of either sign.  Anything within 1e-12 of the intermediate
+        # magnitude is clamped to zero (overlaps that small are physically
+        # meaningless).  Noise bound first (it reads every gather), then the
+        # gathers double as scratch for the terms; the sum order is the
+        # reference evaluation's, exactly.
         if nonneg:
             noise = np.add(wte_le_b, wte_le_a)
             scratch = np.add(w_ts_lt_b, w_te_le_b)
@@ -392,18 +334,7 @@ class ActiveOverlapIndex:
         return out
 
 
-@dataclass
-class _EndpointIndexes:
-    """Overlap indexes for one endpoint's transfer activity (legacy engine)."""
-
-    out_rate: IntervalOverlapIndex      # weights = R_i, transfers sourced here
-    in_rate: IntervalOverlapIndex       # weights = R_i, transfers arriving here
-    out_streams: IntervalOverlapIndex   # weights = min(C,F)*P, sourced here
-    in_streams: IntervalOverlapIndex   # weights = min(C,F)*P, arriving here
-    touch_instances: IntervalOverlapIndex  # weights = min(C,F), either side
-
-
-# Weight columns of the merged per-endpoint index (groupby engine).
+# Weight columns of the merged per-endpoint index.
 _COL_OUT_RATE = 0
 _COL_IN_RATE = 1
 _COL_OUT_STREAMS = 2
@@ -426,84 +357,37 @@ class ContentionComputer:
     computes competing load from the *entire* log even when modeling a
     single edge.
 
-    Two engines produce bit-identical output (``repro-tools bench``
-    fingerprints the equivalence):
-
-    ``"groupby"`` (default)
-        Endpoint labels are factorised to integer codes once; per-endpoint
-        row groups come from one stable argsort instead of per-endpoint
-        string scans (the legacy builder was O(endpoints x rows) in string
-        comparisons).  Each endpoint gets ONE merged
-        :class:`IntervalOverlapIndex` over the transfers touching it, with
-        five zero-padded weight columns (out/in rate, out/in streams,
-        touching instances) — zero-padding is exact, see the index
-        docstring — and source-side + destination-side queries are
-        answered in a single batched call: 4 binary searches per endpoint
-        instead of 40.
-    ``"legacy"``
-        The original per-endpoint mask builder with five separate 1-D
-        indexes; kept as the parity oracle and bench baseline.
+    Endpoint labels are factorised to integer codes once; per-endpoint row
+    groups come from one stable argsort instead of per-endpoint string
+    scans.  Each endpoint gets ONE merged :class:`IntervalOverlapIndex`
+    over the transfers touching it, with five zero-padded weight columns
+    (out/in rate, out/in streams, touching instances) — zero-padding is
+    exact, see the index docstring — and source-side + destination-side
+    queries are answered in a single batched call: 4 binary searches per
+    endpoint.  The output is bit-identical to the original per-endpoint
+    engine with five separate indexes
+    (``repro.reference.ReferenceContentionComputer``); ``repro-tools bench``
+    fingerprints the equivalence.
     """
 
-    def __init__(self, store: LogStore, engine: str = "groupby") -> None:
-        if engine not in ("groupby", "legacy"):
-            raise ValueError(f"engine must be 'groupby' or 'legacy', got {engine!r}")
+    def __init__(self, store: LogStore) -> None:
         if len(store) == 0:
             raise ValueError("cannot build contention indexes from empty log")
         self._store = store
-        self.engine = engine
-        if engine == "legacy":
-            data = store.raw()
-            self._ts = data["ts"]
-            self._te = data["te"]
-            self._src = data["src"]
-            self._dst = data["dst"]
-            inst = np.minimum(data["c"], data["nf"]).astype(np.float64)
-            self._streams = inst * data["p"]
-        else:
-            # Zero-copy read-only views: the full-store copy raw() makes is
-            # measurable at bench scale, and the groupby engine never writes.
-            self._ts = store.column_view("ts")
-            self._te = store.column_view("te")
-            self._src = store.column_view("src")
-            self._dst = store.column_view("dst")
-            inst = np.minimum(
-                store.column_view("c"), store.column_view("nf")
-            ).astype(np.float64)
-            self._streams = inst * store.column_view("p")
+        # Zero-copy read-only views: the full-store copy raw() makes is
+        # measurable at bench scale, and the computer never writes.
+        self._ts = store.column_view("ts")
+        self._te = store.column_view("te")
+        inst = np.minimum(
+            store.column_view("c"), store.column_view("nf")
+        ).astype(np.float64)
+        self._streams = inst * store.column_view("p")
         self._rate = store.rates
         self._instances = inst
-        if engine == "legacy":
-            self._indexes: dict[str, _EndpointIndexes] = {}
-            for ep in set(self._src) | set(self._dst):
-                self._indexes[str(ep)] = self._build_endpoint(str(ep))
-        else:
-            self._build_groupby()
 
-    # -- legacy engine -----------------------------------------------------
-
-    def _build_endpoint(self, ep: str) -> _EndpointIndexes:
-        is_out = self._src == ep
-        is_in = self._dst == ep
-        touches = is_out | is_in
-
-        def idx(mask: np.ndarray, w: np.ndarray) -> IntervalOverlapIndex:
-            return IntervalOverlapIndex(self._ts[mask], self._te[mask], w[mask])
-
-        return _EndpointIndexes(
-            out_rate=idx(is_out, self._rate),
-            in_rate=idx(is_in, self._rate),
-            out_streams=idx(is_out, self._streams),
-            in_streams=idx(is_in, self._streams),
-            touch_instances=idx(touches, self._instances),
-        )
-
-    # -- groupby engine ----------------------------------------------------
-
-    def _build_groupby(self) -> None:
         # Endpoint labels come pre-factorised (and memoised) by the store;
         # see LogStore.endpoint_codes for why this beats np.unique.
-        self.endpoints_, self._src_code, self._dst_code = self._store.endpoint_codes()
+        self.endpoints_, self._src_code, self._dst_code = store.endpoint_codes()
         # One stable argsort per side replaces every per-endpoint string
         # scan; within a code block rows stay in ascending original order,
         # matching np.nonzero(mask) exactly.
@@ -572,67 +456,12 @@ class ContentionComputer:
             rate = self._rate[subset]
             streams = self._streams[subset]
             instances = self._instances[subset]
-        n = subset.size
-        out = {name: np.zeros(n) for name in _FEATURE_KEYS}
-        dur = te - ts
-
-        if self.engine == "legacy":
-            self._compute_legacy(subset, out, ts, te, dur, rate, streams, instances)
-        else:
-            self._compute_groupby(
-                subset, out, ts, te, dur, rate, streams, instances, full
-            )
-
-        # Numerical floor: the self-subtraction above cancels two numbers of
-        # magnitude ~w_k * duration, which can leave residue of either sign
-        # around zero.  Clamp anything negligible relative to the transfer's
-        # own weight to exactly zero.
-        self_weight = {
-            "K_sout": rate, "K_din": rate,
-            "S_sout": streams, "S_din": streams,
-            "G_src": instances, "G_dst": instances,
-        }
-        for key, v in out.items():
-            np.maximum(v, 0.0, out=v)
-            if key in self_weight:
-                v[v < 1e-9 * np.maximum(self_weight[key], 1.0)] = 0.0
+        out = {name: np.zeros(subset.size) for name in _FEATURE_KEYS}
+        self._compute_groupby(
+            subset, out, ts, te, te - ts, rate, streams, instances, full
+        )
+        _clamp_features(out, rate, streams, instances)
         return out
-
-    def _compute_legacy(self, subset, out, ts, te, dur, rate, streams, instances):
-        src = self._src[subset]
-        dst = self._dst[subset]
-        # Group queries per endpoint so each index is queried in bulk.
-        for ep, idxs in self._indexes.items():
-            at_src = np.nonzero(src == ep)[0]
-            at_dst = np.nonzero(dst == ep)[0]
-            if at_src.size:
-                a, b, d = ts[at_src], te[at_src], dur[at_src]
-                # Outgoing sets at the source include k itself: subtract
-                # the self term w_k * duration before scaling.
-                out["K_sout"][at_src] = (
-                    idxs.out_rate.overlap_sum(a, b) - rate[at_src] * d
-                ) / d
-                out["S_sout"][at_src] = (
-                    idxs.out_streams.overlap_sum(a, b) - streams[at_src] * d
-                ) / d
-                out["K_sin"][at_src] = idxs.in_rate.overlap_sum(a, b) / d
-                out["S_sin"][at_src] = idxs.in_streams.overlap_sum(a, b) / d
-                out["G_src"][at_src] = (
-                    idxs.touch_instances.overlap_sum(a, b) - instances[at_src] * d
-                ) / d
-            if at_dst.size:
-                a, b, d = ts[at_dst], te[at_dst], dur[at_dst]
-                out["K_din"][at_dst] = (
-                    idxs.in_rate.overlap_sum(a, b) - rate[at_dst] * d
-                ) / d
-                out["S_din"][at_dst] = (
-                    idxs.in_streams.overlap_sum(a, b) - streams[at_dst] * d
-                ) / d
-                out["K_dout"][at_dst] = idxs.out_rate.overlap_sum(a, b) / d
-                out["S_dout"][at_dst] = idxs.out_streams.overlap_sum(a, b) / d
-                out["G_dst"][at_dst] = (
-                    idxs.touch_instances.overlap_sum(a, b) - instances[at_dst] * d
-                ) / d
 
     def _compute_groupby(
         self, subset, out, ts, te, dur, rate, streams, instances, full=False
@@ -692,3 +521,19 @@ class ContentionComputer:
                 out["G_dst"][at_dst] = (
                     rd[:, _COL_TOUCH_INST] - instances[at_dst] * d
                 ) / d
+
+
+def _clamp_features(out, rate, streams, instances) -> None:
+    """Numerical floor, in place: the self-subtraction cancels two numbers
+    of magnitude ~w_k * duration, which can leave residue of either sign
+    around zero.  Clamp anything negligible relative to the transfer's own
+    weight to exactly zero."""
+    self_weight = {
+        "K_sout": rate, "K_din": rate,
+        "S_sout": streams, "S_din": streams,
+        "G_src": instances, "G_dst": instances,
+    }
+    for key, v in out.items():
+        np.maximum(v, 0.0, out=v)
+        if key in self_weight:
+            v[v < 1e-9 * np.maximum(self_weight[key], 1.0)] = 0.0

@@ -7,11 +7,13 @@ retrospectively (overlap-scaled over each transfer's actual lifetime); at
 submission time neither the transfer's duration nor the future arrival
 process is known.
 
-:class:`OnlineFeatureEstimator` approximates the Table 2 features from the
-*currently active* transfer population under a persistence assumption:
-whatever is running now keeps running at its current average rate for the
-duration of the new transfer.  This is exactly the information a scheduler
-has, and §5's models consume the estimates unchanged.
+:class:`OnlineFeatureEstimator` holds the *currently active* transfer
+population; the Table 2 features are approximated from it under a
+persistence assumption (whatever is running now keeps running at its
+current average rate for the duration of the new transfer) by
+:meth:`repro.serve.BatchOnlinePredictor.estimate_features`.  This is
+exactly the information a scheduler has, and §5's models consume the
+estimates unchanged.
 
 :class:`OnlinePredictor` bundles a fitted model with the estimator and a
 duration fix-point: predicted rate determines assumed duration, which
@@ -133,8 +135,8 @@ def active_views_from_log(
 
 
 class OnlineFeatureEstimator:
-    """Estimates Eq. 2 features for a *hypothetical* transfer from the
-    currently active population."""
+    """The currently active population that Eq. 2 features for a
+    *hypothetical* transfer are estimated from."""
 
     def __init__(self, active: list[ActiveTransferView]) -> None:
         self.active = list(active)
@@ -164,55 +166,6 @@ class OnlineFeatureEstimator:
             log, now, lookback_s=lookback_s,
             exclude_transfer_id=exclude_transfer_id,
         )])
-
-    def estimate(
-        self,
-        request: TransferRequest,
-        now: float,
-        assumed_duration_s: float,
-    ) -> dict[str, float]:
-        """Feature estimates for ``request`` starting at ``now`` and lasting
-        ``assumed_duration_s`` under the persistence assumption.
-
-        Returns the full 15-feature dict (Table 2 order not guaranteed).
-        """
-        if assumed_duration_s <= 0:
-            raise ValueError("assumed_duration_s must be > 0")
-        t_end = now + assumed_duration_s
-        feats = {
-            "K_sout": 0.0, "K_sin": 0.0, "K_dout": 0.0, "K_din": 0.0,
-            "S_sout": 0.0, "S_sin": 0.0, "S_dout": 0.0, "S_din": 0.0,
-            "G_src": 0.0, "G_dst": 0.0,
-        }
-        for a in self.active:
-            # Overlap of the active transfer with [now, t_end], scaled by
-            # the hypothetical transfer's duration (Eq. 2's O/(Te-Ts)).
-            overlap = max(0.0, min(a.expected_end, t_end) - now)
-            f = overlap / assumed_duration_s
-            if f <= 0:
-                continue
-            if a.src == request.src:
-                feats["K_sout"] += f * a.rate
-                feats["S_sout"] += f * a.streams
-            if a.dst == request.src:
-                feats["K_sin"] += f * a.rate
-                feats["S_sin"] += f * a.streams
-            if a.src == request.dst:
-                feats["K_dout"] += f * a.rate
-                feats["S_dout"] += f * a.streams
-            if a.dst == request.dst:
-                feats["K_din"] += f * a.rate
-                feats["S_din"] += f * a.streams
-            if request.src in (a.src, a.dst):
-                feats["G_src"] += f * a.instances
-            if request.dst in (a.src, a.dst):
-                feats["G_dst"] += f * a.instances
-        feats["C"] = float(request.concurrency)
-        feats["P"] = float(request.parallelism)
-        feats["Nd"] = float(request.n_dirs)
-        feats["Nb"] = float(request.total_bytes)
-        feats["Nf"] = float(request.n_files)
-        return feats
 
 
 @dataclass

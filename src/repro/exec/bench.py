@@ -11,14 +11,20 @@ then the two checks that gate CI:
 - a warm feature-matrix cache must return the cold build's exact arrays;
 - the vectorized (C, P) sweep (:class:`~repro.serve.SweepAdvisor`) must
   rank bit-identically to the scalar
-  :class:`~repro.core.advisor.TunableAdvisor` on a fitted model, and the
+  :class:`~repro.reference.TunableAdvisor` on a fitted model, and the
   fleet scheduler's predicted makespan must not exceed FIFO's;
 - the flattened forest kernel (:class:`~repro.ml.forest.FlattenedForest`)
-  must predict bit-identically to the per-tree reference loop, and the
-  fused training histogram kernel must grow the exact trees the legacy
-  per-feature kernel grows (SHA-256 prediction fingerprints);
+  must predict bit-identically to the per-tree loop
+  (:func:`~repro.reference.predict_tree_loop`), and the fused training
+  histogram kernel must reach the per-feature kernel's training accuracy
+  (:class:`~repro.reference.LoopGradientBoostingRegressor`, RMSE ratio);
 - the group-by contention engine must emit the exact feature arrays the
-  legacy per-endpoint engine emits, for full and subset computes.
+  per-endpoint engine (:class:`~repro.reference.ReferenceContentionComputer`)
+  emits, for full and subset computes.
+
+These parity sections are the only production-side importers of
+:mod:`repro.reference`; the report keys ``legacy_*``, ``loop_*`` and
+``scalar_*`` hold the oracle side of each comparison.
 
 Timings are reported (median/p95/best per path, serial-vs-parallel
 wall-clock for the fit) but never gated — wall-clock depends on the host
@@ -210,7 +216,7 @@ class BenchReport:
                 f"  predict req.  loop      {fo['loop_request_s'] * 1e3:9.2f} ms",
                 f"  predict req.  kernel    {fo['flat_request_s'] * 1e3:9.2f} ms "
                 f"({fo['request_speedup']:.1f}x)",
-                f"  train legacy kernel     {fo['train_legacy_s'] * 1e3:9.2f} ms",
+                f"  train loop kernel       {fo['train_legacy_s'] * 1e3:9.2f} ms",
                 f"  train fused kernel      {fo['train_fused_s'] * 1e3:9.2f} ms "
                 f"({fo['train_speedup']:.1f}x, "
                 f"rmse ratio {fo['train_rmse_ratio']:.4f})",
@@ -222,7 +228,7 @@ class BenchReport:
                 "",
                 f"contention engine ({co['n_rows']} rows, "
                 f"{co['n_endpoints']} endpoints):",
-                f"  legacy build+compute    {co['legacy_s'] * 1e3:9.2f} ms",
+                f"  reference build+compute {co['legacy_s'] * 1e3:9.2f} ms",
                 f"  groupby build+compute   {co['groupby_s'] * 1e3:9.2f} ms",
                 f"  speedup                 {co['speedup']:9.2f}x",
                 f"  features bit-identical  {co['parity_ok']}",
@@ -312,7 +318,7 @@ def _run_hot_paths(report: BenchReport, rounds: int, quick: bool,
     a = rng.uniform(0, 1e6, n_idx // 4)
     b = a + rng.uniform(1, 1000, n_idx // 4)
     report.hot_paths["overlap_index_queries"] = _timed(
-        lambda: idx.overlap_sum(a, b), rounds
+        lambda: idx.overlap_sum_fast(a, b), rounds
     )
 
     n_gbt = 800 if quick else 3000
@@ -393,7 +399,7 @@ def _run_forest_bench(report: BenchReport, rounds: int, quick: bool,
     test shape and a request-sized batch (the serving regime, where
     per-tree python dispatch dominates the loop).
 
-    The fused-vs-legacy *training* kernels optimise the same gain
+    The fused and per-feature *training* kernels optimise the same gain
     objective but their histogram sums round differently at the ulp level
     (global vs per-feature cumsum, sibling subtraction), so grown trees
     may differ on exact gain ties — see :mod:`repro.ml.tree`.  Their
@@ -401,6 +407,7 @@ def _run_forest_bench(report: BenchReport, rounds: int, quick: bool,
     sanity-bounded, never bit-gated.
     """
     from repro.ml.gbt import GradientBoostingRegressor
+    from repro.reference import LoopGradientBoostingRegressor, predict_tree_loop
 
     rng = np.random.default_rng(seed + 7)
     n = 800 if quick else 3000
@@ -409,39 +416,40 @@ def _run_forest_bench(report: BenchReport, rounds: int, quick: bool,
     X = rng.uniform(size=(n, n_features))
     y = np.sin(4 * X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(0, 0.05, n)
 
-    def make(kernel: str) -> GradientBoostingRegressor:
-        return GradientBoostingRegressor(
-            n_estimators=trees, max_depth=4, random_state=0,
-            tree_kernel=kernel,
-        )
+    def make(cls: type) -> GradientBoostingRegressor:
+        return cls(n_estimators=trees, max_depth=4, random_state=0)
 
     train_rounds = max(1, rounds - 2)
-    fused_t = _timed(lambda: make("fused").fit(X, y), train_rounds)
-    legacy_t = _timed(lambda: make("legacy").fit(X, y), train_rounds)
-    fused = make("fused").fit(X, y)
-    legacy = make("legacy").fit(X, y)
+    fused_t = _timed(
+        lambda: make(GradientBoostingRegressor).fit(X, y), train_rounds
+    )
+    loop_t = _timed(
+        lambda: make(LoopGradientBoostingRegressor).fit(X, y), train_rounds
+    )
+    fused = make(GradientBoostingRegressor).fit(X, y)
+    loop = make(LoopGradientBoostingRegressor).fit(X, y)
 
     X_full = rng.uniform(size=(2_000 if quick else 10_000, n_features))
     X_request = X_full[:100]
 
     flat_full = fused.predict(X_full)
-    loop_full = fused.predict_tree_loop(X_full)
+    loop_full = predict_tree_loop(fused, X_full)
     flat_request = fused.predict(X_request)
-    loop_request = fused.predict_tree_loop(X_request)
+    loop_request = predict_tree_loop(fused, X_request)
 
     flat_fp = _array_fingerprint(flat_full, flat_request)
     loop_fp = _array_fingerprint(loop_full, loop_request)
     # Training-kernel equivalence is statistical, not bitwise: both must
     # reach the same accuracy on the training objective (within 2%).
     fused_rmse = fused.train_scores_[-1]
-    legacy_rmse = legacy.train_scores_[-1]
-    rmse_ratio = fused_rmse / legacy_rmse if legacy_rmse else float("inf")
+    loop_rmse = loop.train_scores_[-1]
+    rmse_ratio = fused_rmse / loop_rmse if loop_rmse else float("inf")
     train_equiv = bool(abs(rmse_ratio - 1.0) < 0.02)
 
     flat_full_t = _timed(lambda: fused.predict(X_full), rounds)
-    loop_full_t = _timed(lambda: fused.predict_tree_loop(X_full), rounds)
+    loop_full_t = _timed(lambda: predict_tree_loop(fused, X_full), rounds)
     flat_req_t = _timed(lambda: fused.predict(X_request), rounds)
-    loop_req_t = _timed(lambda: fused.predict_tree_loop(X_request), rounds)
+    loop_req_t = _timed(lambda: predict_tree_loop(fused, X_request), rounds)
 
     report.forest = {
         "n_trees": len(fused.trees_),
@@ -461,9 +469,9 @@ def _run_forest_bench(report: BenchReport, rounds: int, quick: bool,
             if flat_req_t["median_s"] else 0.0
         ),
         "train_fused_s": fused_t["median_s"],
-        "train_legacy_s": legacy_t["median_s"],
+        "train_legacy_s": loop_t["median_s"],
         "train_speedup": (
-            legacy_t["median_s"] / fused_t["median_s"]
+            loop_t["median_s"] / fused_t["median_s"]
             if fused_t["median_s"] else 0.0
         ),
         "flat_fingerprint": flat_fp,
@@ -476,15 +484,17 @@ def _run_forest_bench(report: BenchReport, rounds: int, quick: bool,
 
 def _run_contention_bench(report: BenchReport, rounds: int, quick: bool,
                           seed: int) -> None:
-    """Group-by vs legacy contention engine: exact parity + speedup.
+    """Group-by vs per-endpoint reference contention engine: exact parity
+    + speedup.
 
     Both engines build their per-endpoint indexes and run one full
     feature compute per round; the group-by engine's feature arrays must
-    be bit-identical to the legacy engine's on the full store *and* on a
-    random subset (the incremental-refit path)."""
+    be bit-identical to the reference engine's on the full store *and* on
+    a random subset (the incremental-refit path)."""
     from repro.core.contention import _FEATURE_KEYS, ContentionComputer
+    from repro.reference import ReferenceContentionComputer
 
-    # Full mode runs at a scale where the legacy row loop's python
+    # Full mode runs at a scale where the reference row loop's python
     # overhead dominates; the speedup keeps widening with row count.
     n = 2_000 if quick else 30_000
     n_endpoints = 12
@@ -493,39 +503,39 @@ def _run_contention_bench(report: BenchReport, rounds: int, quick: bool,
     rng = np.random.default_rng(seed + 4)
     subset = np.sort(rng.choice(n, size=n // 3, replace=False))
 
-    legacy = ContentionComputer(store, engine="legacy")
-    groupby = ContentionComputer(store, engine="groupby")
-    legacy_full = legacy.compute()
+    reference = ReferenceContentionComputer(store)
+    groupby = ContentionComputer(store)
+    reference_full = reference.compute()
     groupby_full = groupby.compute()
-    legacy_sub = legacy.compute(subset)
+    reference_sub = reference.compute(subset)
     groupby_sub = groupby.compute(subset)
 
-    legacy_fp = _array_fingerprint(*(legacy_full[k] for k in _FEATURE_KEYS))
+    reference_fp = _array_fingerprint(
+        *(reference_full[k] for k in _FEATURE_KEYS)
+    )
     groupby_fp = _array_fingerprint(*(groupby_full[k] for k in _FEATURE_KEYS))
     subset_ok = all(
-        np.array_equal(legacy_sub[k], groupby_sub[k]) for k in _FEATURE_KEYS
+        np.array_equal(reference_sub[k], groupby_sub[k]) for k in _FEATURE_KEYS
     )
 
-    legacy_t = _timed(
-        lambda: ContentionComputer(store, engine="legacy").compute(), rounds
+    reference_t = _timed(
+        lambda: ReferenceContentionComputer(store).compute(), rounds
     )
-    groupby_t = _timed(
-        lambda: ContentionComputer(store, engine="groupby").compute(), rounds
-    )
+    groupby_t = _timed(lambda: ContentionComputer(store).compute(), rounds)
 
     report.contention = {
         "n_rows": n,
         "n_endpoints": n_endpoints,
-        "legacy_s": legacy_t["median_s"],
+        "legacy_s": reference_t["median_s"],
         "groupby_s": groupby_t["median_s"],
         "speedup": (
-            legacy_t["median_s"] / groupby_t["median_s"]
+            reference_t["median_s"] / groupby_t["median_s"]
             if groupby_t["median_s"] else 0.0
         ),
-        "legacy_fingerprint": legacy_fp,
+        "legacy_fingerprint": reference_fp,
         "groupby_fingerprint": groupby_fp,
         "subset_parity_ok": bool(subset_ok),
-        "parity_ok": bool(legacy_fp == groupby_fp and subset_ok),
+        "parity_ok": bool(reference_fp == groupby_fp and subset_ok),
     }
 
 
@@ -654,9 +664,9 @@ def _sweep_fingerprint(ranked: list[tuple[int, int, float]]) -> str:
 
 def _run_advise_bench(report: BenchReport, rounds: int, quick: bool,
                       seed: int) -> None:
-    from repro.core.advisor import TunableAdvisor
     from repro.core.online import OnlineFeatureEstimator
     from repro.core.pipeline import fit_edge_model
+    from repro.reference import TunableAdvisor
     from repro.serve import ActiveSet, FallbackChain, FleetScheduler, SweepAdvisor
     from repro.sim.gridftp import TransferRequest
 

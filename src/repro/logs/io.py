@@ -38,8 +38,7 @@ import numpy as np
 
 from repro.logs.schema import LOG_DTYPE, batch_has_violations, record_violations
 from repro.logs.store import LogStore
-from repro.obs import MetricsRegistry, Tracer
-from repro.obs.tracing import NULL_SPAN
+from repro.obs import MetricsRegistry, Tracer, span
 
 __all__ = [
     "write_csv",
@@ -222,12 +221,6 @@ def write_csv(store: LogStore, path: str | Path) -> None:
             writer.writerow([row[name].item() for name in LOG_DTYPE.names])
 
 
-def _ingest_span(tracer: Tracer | None, name: str):
-    if tracer is None or not tracer.enabled:
-        return NULL_SPAN
-    return tracer.span(name)
-
-
 def read_csv(
     path: str | Path,
     strict: bool = True,
@@ -246,7 +239,7 @@ def read_csv(
     path = Path(path)
     report = QuarantineReport(source=str(path))
     chunks: list[np.ndarray] = []
-    with _ingest_span(tracer, "ingest.read_csv") as span:
+    with span(tracer, "ingest.read_csv") as sp:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -278,8 +271,8 @@ def read_csv(
             np.concatenate(chunks) if chunks else np.empty(0, dtype=LOG_DTYPE)
         )
         report.kept_rows = int(len(arr))
-        span.attrs["rows"] = report.total_rows
-        span.attrs["kept"] = report.kept_rows
+        sp.attrs["rows"] = report.total_rows
+        sp.attrs["kept"] = report.kept_rows
     if registry is not None:
         report.count_into(registry, "csv")
     store = LogStore(arr)
@@ -402,7 +395,7 @@ def read_jsonl(
     path = Path(path)
     report = QuarantineReport(source=str(path))
     chunks: list[np.ndarray] = []
-    with _ingest_span(tracer, "ingest.read_jsonl") as span:
+    with span(tracer, "ingest.read_jsonl") as sp:
         with path.open() as fh:
             batch: list[tuple[int, str]] = []
             for line_no, line in enumerate(fh, 1):
@@ -419,8 +412,8 @@ def read_jsonl(
             np.concatenate(chunks) if chunks else np.empty(0, dtype=LOG_DTYPE)
         )
         report.kept_rows = int(len(arr))
-        span.attrs["rows"] = report.total_rows
-        span.attrs["kept"] = report.kept_rows
+        sp.attrs["rows"] = report.total_rows
+        sp.attrs["kept"] = report.kept_rows
     if registry is not None:
         report.count_into(registry, "jsonl")
     store = LogStore(arr)

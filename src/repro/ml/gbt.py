@@ -47,10 +47,6 @@ class GradientBoostingRegressor:
         fails to improve for this many consecutive rounds.
     random_state:
         Seed for row/column subsampling.
-    tree_kernel:
-        Histogram kernel for split finding: ``"fused"`` (single-bincount
-        accumulation + sibling subtraction, the default) or ``"legacy"``
-        (per-feature loop, kept as the bench baseline).
 
     Examples
     --------
@@ -62,6 +58,10 @@ class GradientBoostingRegressor:
     >>> float(np.abs(m.predict(X) - y).mean()) < 0.1
     True
     """
+
+    # The weak learner; repro.reference overrides it with its per-feature
+    # training kernel.
+    _tree_type = RegressionTree
 
     def __init__(
         self,
@@ -76,7 +76,6 @@ class GradientBoostingRegressor:
         max_bins: int = 256,
         early_stopping_rounds: int | None = None,
         random_state: int | None = None,
-        tree_kernel: str = "fused",
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -86,10 +85,6 @@ class GradientBoostingRegressor:
             raise ValueError("subsample must be in (0, 1]")
         if not 0.0 < colsample_bytree <= 1.0:
             raise ValueError("colsample_bytree must be in (0, 1]")
-        if tree_kernel not in ("fused", "legacy"):
-            raise ValueError(
-                f"tree_kernel must be 'fused' or 'legacy', got {tree_kernel!r}"
-            )
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.tree_params = TreeGrowthParams(
@@ -103,7 +98,6 @@ class GradientBoostingRegressor:
         self.max_bins = max_bins
         self.early_stopping_rounds = early_stopping_rounds
         self.random_state = random_state
-        self.tree_kernel = tree_kernel
 
         self.trees_: list[RegressionTree] = []
         self.base_score_: float = 0.0
@@ -174,7 +168,7 @@ class GradientBoostingRegressor:
             else:
                 cols = None
 
-            tree = RegressionTree(self.tree_params, self.max_bins, self.tree_kernel)
+            tree = self._tree_type(self.tree_params, self.max_bins)
             if rows is None:
                 tree.fit_binned(codes, grad, hess, n_bins, feature_subset=cols)
             else:
@@ -229,20 +223,6 @@ class GradientBoostingRegressor:
         X = self._check_predict_input(X)
         codes = self.binner_.transform(X)
         return self._ensure_forest().predict_binned(codes)
-
-    def predict_tree_loop(self, X: np.ndarray) -> np.ndarray:
-        """Reference per-tree prediction loop (the pre-flattening code path).
-
-        Kept as the parity oracle for the forest kernel: ``predict`` must be
-        bit-identical to this, which ``repro-tools bench`` fingerprints and
-        ``tests/ml/test_forest.py`` asserts over randomized models.
-        """
-        X = self._check_predict_input(X)
-        codes = self.binner_.transform(X)
-        out = np.full(X.shape[0], self.base_score_)
-        for tree in self.trees_:
-            out += self.learning_rate * tree.predict_binned(codes)
-        return out
 
     def staged_predict(self, X: np.ndarray):
         """Yield predictions after each boosting round (for learning curves).

@@ -58,7 +58,7 @@ from repro.obs.metrics import (
     exponential_buckets,
 )
 from repro.obs.slo import SLO, SLOEngine, default_slos, stream_slos
-from repro.obs.tracing import Span, SpanRecord, Tracer
+from repro.obs.tracing import NULL_SPAN, Span, SpanRecord, Tracer, span
 
 __all__ = [
     "Counter",
@@ -70,6 +70,8 @@ __all__ = [
     "Tracer",
     "Span",
     "SpanRecord",
+    "NULL_SPAN",
+    "span",
     "DriftMonitor",
     "DriftStats",
     "Event",

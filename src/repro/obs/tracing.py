@@ -17,9 +17,9 @@ each span also feeds a ``trace_span_seconds`` histogram and a
 shows up in the same Prometheus/JSON export as everything else.
 
 A disabled tracer (``Tracer(enabled=False)``) hands out a shared no-op
-span, so instrumented code pays one attribute check and nothing else; the
-serving layer goes further and skips the call entirely when no tracer was
-provided.
+span, so instrumented code pays one attribute check and nothing else.
+Call sites whose tracer may be absent use :func:`span`, which hands out
+the same no-op for ``None``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry, exponential_buckets
 
-__all__ = ["Span", "SpanRecord", "Tracer", "NULL_SPAN"]
+__all__ = ["Span", "SpanRecord", "Tracer", "NULL_SPAN", "span"]
 
 # 10 µs .. ~5 s: spans include per-endpoint index rebuilds, far quicker
 # than whole prediction batches.
@@ -114,6 +114,14 @@ class _NullSpan:
 
 
 NULL_SPAN = _NullSpan()
+
+
+def span(tracer: "Tracer | None", name: str, **attrs):
+    """``tracer.span(name, **attrs)``, or :data:`NULL_SPAN` when ``tracer``
+    is None or disabled — the one guard every instrumented call site uses."""
+    if tracer is None or not tracer.enabled:
+        return NULL_SPAN
+    return tracer.span(name, **attrs)
 
 
 class Tracer:

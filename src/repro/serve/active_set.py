@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.contention import ActiveOverlapIndex
 from repro.core.online import ActiveTransferView, active_views_from_log
 from repro.logs.store import LogStore
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import MetricsRegistry, Observability, span
 
 __all__ = [
     "ActiveSet",
@@ -157,25 +157,20 @@ _M_COLS = 5
 
 @dataclass(frozen=True)
 class EndpointState:
-    """Bulk-query indexes over one endpoint's in-flight transfers.
+    """The bulk-query index over one endpoint's in-flight transfers.
 
     Mirrors :class:`~repro.core.contention.ContentionComputer`'s
-    per-endpoint view.  ``outgoing`` and ``incoming`` are two-column
-    weight indexes (column 0: rate, for the K features; column 1: stream
-    count, for S), so one query answers both; ``touch_instances`` covers
-    transfers touching the endpoint on either side (the G features).
-
-    ``merged`` stacks all five weightings over the union of touching
-    transfers (``_M_*`` column order, zero weight where a transfer does
-    not play that role), so the batch fix-point answers one endpoint's
-    whole feature row with a single pair of binary searches — zero
-    weights add exactly ``0.0`` to every prefix sum, so each column is
-    bit-identical to its standalone index.
+    per-endpoint view.  ``merged`` stacks all five weightings (out/in
+    rate for the K features, out/in stream count for S, instance count
+    of transfers touching the endpoint on either side for G) over the
+    union of touching transfers (``_M_*`` column order, zero weight where
+    a transfer does not play that role), so the batch fix-point answers
+    one endpoint's whole feature row with a single pair of binary
+    searches — zero weights add exactly ``0.0`` to every prefix sum, so
+    each column is bit-identical to a standalone index over that role's
+    transfers (``repro.reference.endpoint_columns``).
     """
 
-    outgoing: ActiveOverlapIndex
-    incoming: ActiveOverlapIndex
-    touch_instances: ActiveOverlapIndex
     merged: ActiveOverlapIndex
 
 
@@ -184,11 +179,6 @@ def _build_state(
     out_views: list[ActiveTransferView],
     in_views: list[ActiveTransferView],
 ) -> EndpointState:
-    def rate_streams(views: list[ActiveTransferView]) -> ActiveOverlapIndex:
-        te = np.array([v.expected_end for v in views], dtype=np.float64)
-        w = np.array([(v.rate, v.streams) for v in views], dtype=np.float64)
-        return ActiveOverlapIndex(te, w.reshape(len(views), 2))
-
     # A degenerate self-loop (src == dst == endpoint) appears in both view
     # lists but must count once toward the G (instance) features.
     touching = out_views + [v for v in in_views if v.src != endpoint]
@@ -206,12 +196,7 @@ def _build_state(
         weights[i, _M_IN_RATE] = v.rate
         weights[i, _M_IN_STREAMS] = v.streams
     weights[:, _M_TOUCH] = instances
-    return EndpointState(
-        outgoing=rate_streams(out_views),
-        incoming=rate_streams(in_views),
-        touch_instances=ActiveOverlapIndex(te, instances),
-        merged=ActiveOverlapIndex(te, weights),
-    )
+    return EndpointState(merged=ActiveOverlapIndex(te, weights))
 
 
 class ActiveSet:
@@ -249,8 +234,7 @@ class ActiveSet:
         self._state: dict[str, EndpointState] = {}
         registry = obs.registry if obs is not None else None
         self.stats = ActiveSetStats(registry)
-        self.tracer = obs.tracer if obs is not None and obs.tracer is not None \
-            and obs.tracer.enabled else None
+        self.tracer = obs.tracer if obs is not None else None
         self._size_gauge = self.stats.registry.gauge(
             "active_set_size", "In-flight transfers currently tracked."
         )
@@ -379,22 +363,17 @@ class ActiveSet:
         """The endpoint's bulk-query indexes (rebuilt only if dirtied)."""
         state = self._state.get(endpoint)
         if state is None:
-            span = (
-                self.tracer.span("active_set.rebuild", endpoint=endpoint)
-                if self.tracer else None
-            )
             out_views = [
                 self._views[t] for t in self._by_src.get(endpoint, ())
             ]
             in_views = [
                 self._views[t] for t in self._by_dst.get(endpoint, ())
             ]
-            if span is None:
+            with span(
+                self.tracer, "active_set.rebuild", endpoint=endpoint
+            ) as sp:
+                sp.attrs["transfers"] = len(out_views) + len(in_views)
                 state = _build_state(endpoint, out_views, in_views)
-            else:
-                with span as sp:
-                    sp.attrs["transfers"] = len(out_views) + len(in_views)
-                    state = _build_state(endpoint, out_views, in_views)
             self._state[endpoint] = state
             self.stats.state_rebuilds += 1
         return state

@@ -21,9 +21,9 @@ the fitted models, on the batch serving stack:
   comparison (predicted makespan + aggregate throughput per policy), the
   table ``repro-tools advise plan`` and ``repro-tools bench`` print.
 
-The scalar per-candidate path in :mod:`repro.core.advisor` stays as the
-reference implementation; the vectorized sweep is verified bit-identical
-against it by the ``repro-tools bench`` advise parity gate.
+The scalar per-candidate sweep it replaced lives in :mod:`repro.reference`;
+the vectorized sweep is verified bit-identical against it by the
+``repro-tools bench`` advise parity gate.
 
 Pass an :class:`~repro.obs.Observability` bundle via ``obs=`` to count
 ``advise_*`` metrics and emit ``advise.sweep`` / ``advise.plan`` tracing
@@ -40,8 +40,7 @@ import numpy as np
 from repro.core.advisor import DEFAULT_TUNABLE_GRID
 from repro.core.analytical import clip_rates_to_bound
 from repro.core.pipeline import EdgeModelResult, GlobalModelResult
-from repro.obs import MetricsRegistry, Observability
-from repro.obs.tracing import NULL_SPAN
+from repro.obs import NULL_SPAN, MetricsRegistry, Observability, span
 from repro.serve.active_set import ActiveSet
 from repro.serve.batch import BatchOnlinePredictor
 from repro.serve.fallback import FallbackChain, ModelTier
@@ -125,7 +124,7 @@ class SweepCandidate:
 class SweepRecommendation:
     """Outcome of a vectorized tunable sweep for one edge.
 
-    Mirrors :class:`~repro.core.advisor.TunableRecommendation` (same
+    Mirrors the scalar reference sweep's recommendation (same
     ``confident`` / ``gain_over_worst`` semantics, including the
     degenerate-sweep rule) but every candidate additionally carries its
     :class:`~repro.serve.fallback.ModelTier` provenance and whether the
@@ -258,18 +257,12 @@ class SweepAdvisor:
         )
         self.clip = bool(clip)
         self.obs = obs
-        self.tracer = obs.tracer if obs is not None and obs.tracer is not None \
-            and obs.tracer.enabled else None
+        self.tracer = obs.tracer if obs is not None else None
         self.counters = _AdviseCounters(obs.registry if obs is not None else None)
 
     @property
     def chain(self) -> FallbackChain | None:
         return self.engine.chain
-
-    def _span(self, name: str, **attrs):
-        if self.tracer is None:
-            return NULL_SPAN
-        return self.tracer.span(name, **attrs)
 
     def bound_for(self, src: str, dst: str) -> float | None:
         """The Eq. 1 cap applied to this edge's sweep, or None."""
@@ -286,10 +279,10 @@ class SweepAdvisor:
         call — one feature matrix, one vectorized fix-point — instead of
         the scalar advisor's predictor-per-candidate loop.
         """
-        with self._span(
-            "advise.sweep", edge=f"{request.src}->{request.dst}",
-            candidates=len(self.grid),
-        ) as span:
+        with span(
+            self.tracer, "advise.sweep",
+            edge=f"{request.src}->{request.dst}", candidates=len(self.grid),
+        ) as sp:
             candidates = [
                 replace(request, concurrency=c, parallelism=p)
                 for c, p in self.grid
@@ -317,9 +310,9 @@ class SweepAdvisor:
                 alternatives=alternatives,
                 bound=bound,
             )
-            if span is not NULL_SPAN:
-                span.attrs["tier"] = rec.tier.value
-                span.attrs["clipped"] = int(clipped_mask.sum())
+            if sp is not NULL_SPAN:
+                sp.attrs["tier"] = rec.tier.value
+                sp.attrs["clipped"] = int(clipped_mask.sum())
         self.counters.sweeps.inc()
         self.counters.candidates.inc(len(self.grid))
         self.counters.clipped.inc(int(clipped_mask.sum()))
@@ -488,14 +481,8 @@ class FleetScheduler:
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.obs = obs
-        self.tracer = obs.tracer if obs is not None and obs.tracer is not None \
-            and obs.tracer.enabled else None
+        self.tracer = obs.tracer if obs is not None else None
         self.counters = _AdviseCounters(obs.registry if obs is not None else None)
-
-    def _span(self, name: str, **attrs):
-        if self.tracer is None:
-            return NULL_SPAN
-        return self.tracer.span(name, **attrs)
 
     # -- planning ----------------------------------------------------------
 
@@ -525,9 +512,9 @@ class FleetScheduler:
         """
         if policy not in ("planner", "greedy", "fifo"):
             raise ValueError(f"unknown policy {policy!r}")
-        with self._span(
-            "advise.plan", policy=policy, backlog=len(backlog)
-        ) as span:
+        with span(
+            self.tracer, "advise.plan", policy=policy, backlog=len(backlog)
+        ) as sp:
             if policy == "planner":
                 best = self._simulate(backlog, active, now, order="best",
                                       label="planner")
@@ -544,8 +531,8 @@ class FleetScheduler:
             else:
                 plan = self._simulate(backlog, active, now, order="fifo",
                                       label="fifo")
-            if span is not NULL_SPAN:
-                span.attrs["makespan_s"] = plan.makespan
+            if sp is not NULL_SPAN:
+                sp.attrs["makespan_s"] = plan.makespan
         self.counters.plans.inc()
         self.counters.planned.inc(len(plan.entries))
         return plan

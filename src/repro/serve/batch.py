@@ -47,8 +47,7 @@ import numpy as np
 
 from repro.core.pipeline import EdgeModelResult, GlobalModelResult
 from repro.ml.forest import forest_totals
-from repro.obs import MetricsRegistry, Observability
-from repro.obs.tracing import NULL_SPAN
+from repro.obs import MetricsRegistry, Observability, span
 from repro.serve.active_set import (
     _M_IN_RATE,
     _M_IN_STREAMS,
@@ -431,8 +430,7 @@ class BatchOnlinePredictor:
         self.strict = bool(strict)
         self.warn_nonconverged = bool(warn_nonconverged)
         self.obs = obs
-        self.tracer = obs.tracer if obs is not None and obs.tracer is not None \
-            and obs.tracer.enabled else None
+        self.tracer = obs.tracer if obs is not None else None
         self.stats = PredictorStats(obs.registry if obs is not None else None)
         self.unusable_edges: dict[tuple[str, str], str] = {}
         if isinstance(result, FallbackChain):
@@ -494,12 +492,6 @@ class BatchOnlinePredictor:
         that caps sweep predictions."""
         return self._chain
 
-    def _span(self, name: str, **attrs):
-        """A tracer span, or the shared no-op when tracing is off."""
-        if self.tracer is None:
-            return NULL_SPAN
-        return self.tracer.span(name, **attrs)
-
     # -- prediction --------------------------------------------------------
 
     def predict(self, request: TransferRequest, now: float) -> float:
@@ -523,7 +515,7 @@ class BatchOnlinePredictor:
         if m == 0:
             return BatchPrediction(np.zeros(0), (), np.zeros(0, dtype=bool))
         forest_before = forest_totals()
-        with self._span("serve.predict_batch", requests=m):
+        with span(self.tracer, "serve.predict_batch", requests=m):
             if self._chain is None:
                 rates, nonconv = self._fixpoint(self.result, requests, now,
                                                 self.extra_columns)
@@ -605,7 +597,7 @@ class BatchOnlinePredictor:
         tiers: list[ModelTier] = [ModelTier.DEFAULT] * m
         edge_groups: dict[tuple[str, str], list[int]] = {}
         global_idx: list[int] = []
-        with self._span("serve.route", requests=m):
+        with span(self.tracer, "serve.route", requests=m):
             for i, r in enumerate(requests):
                 edge = (r.src, r.dst)
                 if edge in self._edge_engines:
@@ -627,7 +619,7 @@ class BatchOnlinePredictor:
                     rates[i] = rate
 
         if edge_groups:
-            with self._span("serve.tier.edge", edges=len(edge_groups)):
+            with span(self.tracer, "serve.tier.edge", edges=len(edge_groups)):
                 for edge, idx in edge_groups.items():
                     subset = [requests[i] for i in idx]
                     sub_rates, sub_nonconv = self._edge_engines[edge]._fixpoint(
@@ -637,7 +629,9 @@ class BatchOnlinePredictor:
                     nonconv[idx] = sub_nonconv
 
         if global_idx:
-            with self._span("serve.tier.global", requests=len(global_idx)):
+            with span(
+                self.tracer, "serve.tier.global", requests=len(global_idx)
+            ):
                 subset = [requests[i] for i in global_idx]
                 extra = dict(self.extra_columns)
                 if chain.global_adapter is not None:
@@ -677,7 +671,7 @@ class BatchOnlinePredictor:
             # and sliced (a fresh copy) on every round.
             names = tuple(np.asarray(names, dtype=object)[result.kept])
         m = len(requests)
-        with self._span("serve.columns", requests=m):
+        with span(self.tracer, "serve.columns", requests=m):
             cols = _columns(requests)
         # The active set is never mutated inside the fix-point, so each
         # endpoint's prefix-sum state resolves exactly once per call, not
@@ -692,8 +686,8 @@ class BatchOnlinePredictor:
         buf = np.empty((m, len(names)))
         rates = np.full(m, self.initial_rate)
         alive = np.arange(m)
-        with self._span("serve.fixpoint", requests=m) as span:
-            span.attrs["serve.features.buffer"] = f"{m}x{len(names)}"
+        with span(self.tracer, "serve.fixpoint", requests=m) as sp:
+            sp.attrs["serve.features.buffer"] = f"{m}x{len(names)}"
             iterations = 0
             for _ in range(self.max_iterations):
                 sub_rates = rates[alive]
@@ -721,8 +715,8 @@ class BatchOnlinePredictor:
                 alive = alive[~done]
                 if alive.size == 0:
                     break
-            span.attrs["iterations"] = iterations
-            span.attrs["nonconverged"] = int(alive.size)
+            sp.attrs["iterations"] = iterations
+            sp.attrs["nonconverged"] = int(alive.size)
         nonconverged = np.zeros(m, dtype=bool)
         nonconverged[alive] = True
         return rates, nonconverged

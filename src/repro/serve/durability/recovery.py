@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs import DriftMonitor, MetricsRegistry, Observability
+from repro.obs import DriftMonitor, MetricsRegistry, Observability, span
 from repro.serve.active_set import ActiveSet, view_from_dict, view_to_dict
 from repro.serve.durability.journal import Journal, TornRecord
 from repro.serve.durability.snapshot import SnapshotStore
@@ -305,12 +305,7 @@ class DurableServingState:
         """Persist the current state as generation ``N+1``, rotate the
         journal to a fresh segment, prune old generations.  Returns the
         new generation number."""
-        tracer = self.obs.tracer
-        span = tracer.span("durability.snapshot") if tracer \
-            and tracer.enabled else None
-        if span is not None:
-            span.__enter__()
-        try:
+        with span(self.obs.tracer, "durability.snapshot"):
             generation = self.generation + 1
             self._g_generation.set(generation)
             sections = {
@@ -340,9 +335,6 @@ class DurableServingState:
                     if segment < oldest_kept:
                         path.unlink(missing_ok=True)
             return generation
-        finally:
-            if span is not None:
-                span.__exit__(None, None, None)
 
     # -- equivalence probes ------------------------------------------------
 
@@ -390,12 +382,7 @@ def recover_serving_state(
     state = DurableServingState(
         state_dir, obs=obs, lenient=lenient, config=config)
     report = RecoveryReport()
-    tracer = state.obs.tracer
-    span_cm = tracer.span("durability.recover") if tracer \
-        and tracer.enabled else None
-    if span_cm is not None:
-        span_cm.__enter__()
-    try:
+    with span(state.obs.tracer, "durability.recover"):
         loaded = state.snapshots.load_latest()
         start_generation = 0
         if loaded is not None:
@@ -451,6 +438,3 @@ def recover_serving_state(
                 **report.as_dict(),
             )
         return state, report
-    finally:
-        if span_cm is not None:
-            span_cm.__exit__(None, None, None)

@@ -50,9 +50,8 @@ from repro.exec import TaskTimeout, derive_seed, parallel_map
 from repro.logs.schema import LOG_DTYPE
 from repro.logs.store import LogStore
 from repro.ml.persistence import model_from_dict, model_to_dict
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, span
 from repro.obs.events import EventLog
-from repro.obs.tracing import NULL_SPAN
 from repro.serve.durability import ModelArtifactStore, ModelReloader
 from repro.serve.fallback import FallbackChain
 
@@ -334,11 +333,6 @@ class RetrainController:
                 labels={"edge": f"{edge[0]}->{edge[1]}"},
             ).set(float(self.breaker(edge).state.value))
 
-    def _span(self, name: str, **attrs):
-        if self.tracer is None or not self.tracer.enabled:
-            return NULL_SPAN
-        return self.tracer.span(name, **attrs)
-
     # -- observation --------------------------------------------------------
 
     def observe(self, records: np.ndarray) -> None:
@@ -403,7 +397,7 @@ class RetrainController:
         policy = self.policy
         outcomes: dict[Edge, str] = {}
         tasks: list[tuple[Edge, tuple]] = []
-        with self._span("stream.retrain", edges=len(edges)):
+        with span(self.tracer, "stream.retrain", edges=len(edges)):
             for edge in edges:
                 if not self.breaker(edge).allow(now):
                     outcomes[edge] = "blocked"

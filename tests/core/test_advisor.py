@@ -7,13 +7,13 @@ from repro.core.advisor import (
     DEFAULT_TUNABLE_GRID,
     AdmissionPlanner,
     SourceSelector,
-    TunableAdvisor,
 )
 from repro.core.features import FEATURE_NAMES
 from repro.core.online import OnlineFeatureEstimator
 from repro.core.pipeline import EdgeModelResult, GlobalModelResult
 from repro.ml.gbt import GradientBoostingRegressor
 from repro.ml.scaler import StandardScaler
+from repro.reference import TunableAdvisor
 from repro.sim.gridftp import TransferRequest
 
 
@@ -99,7 +99,7 @@ class TestTunableAdvisor:
 
 class TestTunableRecommendationDegenerate:
     def _rec(self, rates):
-        from repro.core.advisor import TunableRecommendation
+        from repro.reference import TunableRecommendation
 
         alts = tuple(
             (c, p, r) for (c, p), r in zip(DEFAULT_TUNABLE_GRID, rates)

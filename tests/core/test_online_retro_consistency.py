@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from repro.core.contention import ContentionComputer
-from repro.core.online import ActiveTransferView, OnlineFeatureEstimator
+from repro.core.online import ActiveTransferView
 from repro.logs import LogStore, TransferLogRecord
+from repro.reference import ReferenceFeatureEstimator
 from repro.sim.gridftp import TransferRequest
 
 
@@ -44,7 +45,7 @@ class TestOnlineMatchesRetrospective:
                     n_files=r.nf,
                 )
             )
-        est = OnlineFeatureEstimator(active)
+        est = ReferenceFeatureEstimator(active)
         req = TransferRequest(
             src="A", dst="B", total_bytes=1e10, n_files=50,
             concurrency=2, parallelism=4,
@@ -64,7 +65,7 @@ class TestOnlineMatchesRetrospective:
         ]
         store = LogStore.from_records(recs)
         retro = ContentionComputer(store).compute(np.array([0]))
-        est = OnlineFeatureEstimator(
+        est = ReferenceFeatureEstimator(
             [
                 ActiveTransferView(
                     src="A", dst="C", rate=recs[1].rate, started_at=0.0,
@@ -90,7 +91,7 @@ class TestOnlineMatchesRetrospective:
         retro = ContentionComputer(store).compute(np.array([0]))
         assert retro["K_sout"][0] > 0  # retrospective sees it
 
-        est = OnlineFeatureEstimator.from_log_window(
+        est = ReferenceFeatureEstimator.from_log_window(
             store, now=100.0, exclude_transfer_id=0
         )
         req = TransferRequest(src="A", dst="B", total_bytes=1e10, n_files=50)
@@ -155,7 +156,7 @@ class TestRandomizedReplayParity:
         pos = int(np.nonzero(data["transfer_id"] == target.transfer_id)[0][0])
         retro = ContentionComputer(store).compute(np.array([pos]))
 
-        est = OnlineFeatureEstimator.from_log_window(
+        est = ReferenceFeatureEstimator.from_log_window(
             store, now=T, exclude_transfer_id=target.transfer_id
         )
         online = est.estimate(

@@ -2,8 +2,8 @@
 
 The kernel's contract is exact: ``GradientBoostingRegressor.predict``
 (one packed node table, all trees at once) must be *bit-identical* to
-``predict_tree_loop`` (per-tree python loop, the pre-flattening code
-path) for any fitted model.  These tests pin that property over
+``repro.reference.predict_tree_loop`` (per-tree python loop, the
+pre-flattening code path) for any fitted model.  These tests pin that property over
 randomized models — varied depth, bin budgets, subsampling, early-stop
 truncation — plus the staged-prediction and counter side contracts.
 """
@@ -19,6 +19,7 @@ from repro.ml.forest import (
     reset_forest_totals,
 )
 from repro.ml.gbt import GradientBoostingRegressor
+from repro.reference import LoopGradientBoostingRegressor, predict_tree_loop
 
 
 def _data(seed: int, n: int = 240, n_features: int = 6):
@@ -35,7 +36,7 @@ class TestForestParity:
         model = GradientBoostingRegressor(
             n_estimators=40, max_depth=4, random_state=0
         ).fit(X, y)
-        assert np.array_equal(model.predict(X_test), model.predict_tree_loop(X_test))
+        assert np.array_equal(model.predict(X_test), predict_tree_loop(model, X_test))
 
     def test_single_row_and_single_tree(self):
         X, y, X_test = _data(1)
@@ -43,7 +44,7 @@ class TestForestParity:
             n_estimators=1, max_depth=2, random_state=0
         ).fit(X, y)
         one = X_test[:1]
-        assert np.array_equal(model.predict(one), model.predict_tree_loop(one))
+        assert np.array_equal(model.predict(one), predict_tree_loop(model, one))
 
     def test_early_stop_truncated_model(self):
         X, y, X_test = _data(2, n=400)
@@ -54,7 +55,7 @@ class TestForestParity:
             early_stopping_rounds=3,
         ).fit(X[:300], y[:300], eval_set=(X[300:], y[300:]))
         assert len(model.trees_) < 300  # truncation actually happened
-        assert np.array_equal(model.predict(X_test), model.predict_tree_loop(X_test))
+        assert np.array_equal(model.predict(X_test), predict_tree_loop(model, X_test))
 
     def test_unpacked_wide_bin_path(self):
         # max_bins above the 15-bit packing limit forces the two-gather
@@ -64,7 +65,7 @@ class TestForestParity:
             n_estimators=15, max_depth=3, max_bins=0x8000, random_state=0
         ).fit(X, y)
         assert model._ensure_forest().packed_ is None
-        assert np.array_equal(model.predict(X_test), model.predict_tree_loop(X_test))
+        assert np.array_equal(model.predict(X_test), predict_tree_loop(model, X_test))
 
     def test_packed_path_used_for_default_bins(self):
         X, y, _ = _data(4)
@@ -93,7 +94,7 @@ class TestForestParity:
             colsample_bytree=colsample,
             random_state=seed,
         ).fit(X, y)
-        assert np.array_equal(model.predict(X_test), model.predict_tree_loop(X_test))
+        assert np.array_equal(model.predict(X_test), predict_tree_loop(model, X_test))
 
     def test_refit_invalidates_forest(self):
         X, y, X_test = _data(5)
@@ -104,7 +105,7 @@ class TestForestParity:
         model.fit(X, -y)
         second = model.predict(X_test)
         assert not np.array_equal(first, second)
-        assert np.array_equal(second, model.predict_tree_loop(X_test))
+        assert np.array_equal(second, predict_tree_loop(model, X_test))
 
 
 class TestStagedPredict:
@@ -186,13 +187,10 @@ class TestTrainingKernels:
         # contract is statistical: same accuracy on the same data.
         X, y, _ = _data(12, n=400)
         rmse = {}
-        for kernel in ("fused", "legacy"):
-            model = GradientBoostingRegressor(
-                n_estimators=30, max_depth=4, random_state=0, tree_kernel=kernel
-            ).fit(X, y)
+        for kernel, cls in (
+            ("fused", GradientBoostingRegressor),
+            ("legacy", LoopGradientBoostingRegressor),
+        ):
+            model = cls(n_estimators=30, max_depth=4, random_state=0).fit(X, y)
             rmse[kernel] = model.train_scores_[-1]
         assert rmse["fused"] == pytest.approx(rmse["legacy"], rel=0.02)
-
-    def test_bad_kernel_rejected(self):
-        with pytest.raises(ValueError, match="tree_kernel"):
-            GradientBoostingRegressor(tree_kernel="vectorized")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.advisor import DEFAULT_TUNABLE_GRID, TunableAdvisor
+from repro.core.advisor import DEFAULT_TUNABLE_GRID
 from repro.core.analytical import EndpointMaxima
 from repro.core.features import FEATURE_NAMES
 from repro.core.online import ActiveTransferView, OnlineFeatureEstimator
@@ -11,6 +11,7 @@ from repro.core.pipeline import EdgeModelResult
 from repro.ml.gbt import GradientBoostingRegressor
 from repro.ml.scaler import StandardScaler
 from repro.obs import Observability
+from repro.reference import TunableAdvisor
 from repro.serve import (
     ActiveSet,
     FallbackChain,

@@ -8,6 +8,7 @@ from repro.core.online import (
     OnlineFeatureEstimator,
     OnlinePredictor,
 )
+from repro.reference import ReferenceFeatureEstimator, endpoint_columns
 from repro.serve import ActiveSet, BatchOnlinePredictor
 from repro.serve.bench import (
     make_synthetic_model,
@@ -36,7 +37,7 @@ class TestBatchFeatureParity:
         durations = np.linspace(10.0, 5000.0, len(requests))
         engine = BatchOnlinePredictor(model, ActiveSet.from_views(population))
         batch = engine.estimate_features(requests, now=0.0, durations=durations)
-        scalar = OnlineFeatureEstimator(population)
+        scalar = ReferenceFeatureEstimator(population)
         for j, req in enumerate(requests):
             ref = scalar.estimate(req, now=0.0, assumed_duration_s=durations[j])
             for name, arr in batch.items():
@@ -290,11 +291,11 @@ class TestMergedEndpointIndex:
         active = ActiveSet.from_views(population)
         b = np.array([100.0, 1500.0, 3600.0])
         for endpoint in ("EP000", "EP005", "EP011"):
-            state = active.endpoint_state(endpoint)
-            merged = state.merged.window_sums(0.0, b)
-            out = state.outgoing.overlap_sum(0.0, b)
-            inc = state.incoming.overlap_sum(0.0, b)
-            touch = state.touch_instances.overlap_sum(0.0, b)
+            merged = active.endpoint_state(endpoint).merged.window_sums(0.0, b)
+            columns = endpoint_columns(active, endpoint)
+            out = columns.outgoing.overlap_sum(0.0, b)
+            inc = columns.incoming.overlap_sum(0.0, b)
+            touch = columns.touch_instances.overlap_sum(0.0, b)
             assert np.array_equal(merged[:, _M_OUT_RATE], out[:, 0])
             assert np.array_equal(merged[:, _M_OUT_STREAMS], out[:, 1])
             assert np.array_equal(merged[:, _M_IN_RATE], inc[:, 0])
