@@ -557,18 +557,19 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     # replay shows +0s instead of a quietly frozen cumulative count.
     prev = {"events": 0, "predictions": 0, "scored": 0}
 
-    def watch(report) -> None:
+    def watch(verdict) -> None:
+        facts = verdict.facts
         drift = obs.drift.overall()
         mdape = f"{drift.mdape:.1f}%" if drift.n else "n/a"
-        d_events = report.events - prev["events"]
-        d_predictions = report.predictions - prev["predictions"]
+        d_events = facts["events"] - prev["events"]
+        d_predictions = facts["predictions"] - prev["predictions"]
         d_scored = drift.n - prev["scored"]
-        prev.update(events=report.events, predictions=report.predictions,
+        prev.update(events=facts["events"], predictions=facts["predictions"],
                     scored=drift.n)
         print(
-            f"[{report.events:>5} events +{d_events:<4}] "
-            f"active={report.final_active:<4} "
-            f"predictions={report.predictions:<5} (+{d_predictions}) "
+            f"[{facts['events']:>5} events +{d_events:<4}] "
+            f"active={facts['final_active']:<4} "
+            f"predictions={facts['predictions']:<5} (+{d_predictions}) "
             f"drift MdAPE={mdape} ({drift.n} scored, +{d_scored})"
         )
 

@@ -29,12 +29,16 @@ transfers.  This package is that serving layer:
 - :mod:`repro.serve.bench` — synthetic workloads and the
   ``repro-tools serve-bench`` harness (latency percentiles and the
   instrumentation-overhead delta included);
-- :mod:`repro.serve.chaos` — the fault-injection replay harness behind
-  ``repro-tools chaos``, plus the observed-replay pipeline
-  (:func:`run_observed_replay`) behind ``repro-tools metrics``, plus the
-  crash-injection mode (:func:`run_crash_replay`) behind
+- :mod:`repro.serve.chaos` — the proof harnesses' shared parts (the
+  seeded fault stream :func:`make_mutation_stream` and the
+  :class:`Verdict` every proof returns), the fault-injection replay
+  behind ``repro-tools chaos``, the observed-replay pipeline
+  (:func:`run_observed_replay`) behind ``repro-tools metrics``, and the
+  crash-injection proof (:func:`run_crash_replay`) behind
   ``repro-tools state verify``;
-- :mod:`repro.serve.durability` — the write-ahead journal, checksummed
+- :mod:`repro.serve.durability` — :class:`ServingState` (the one
+  mutation vocabulary and the reference twin), the write-ahead journal,
+  checksummed
   generation-numbered snapshots, :func:`recover_serving_state`, and the
   probe-gated hot-reload model artifact store, behind
   ``repro-tools state snapshot|recover|verify``;
@@ -77,10 +81,10 @@ from repro.serve.batch import BatchOnlinePredictor, BatchPrediction, PredictorSt
 from repro.serve.bench import ServeBenchResult, run_serve_bench
 from repro.serve.chaos import (
     ChaosConfig,
-    ChaosReport,
-    CrashReport,
+    MutationStream,
     ObservedReplay,
-    make_durable_events,
+    Verdict,
+    make_mutation_stream,
     run_chaos_replay,
     run_crash_replay,
     run_observed_replay,
@@ -92,6 +96,7 @@ from repro.serve.durability import (
     ModelArtifactStore,
     ModelReloader,
     RecoveryReport,
+    ServingState,
     recover_serving_state,
 )
 from repro.serve.fallback import FallbackChain, ModelTier
@@ -99,7 +104,6 @@ from repro.serve.shard import (
     ClusterConfig,
     HashRing,
     ShardChaosConfig,
-    ShardChaosReport,
     ShardCluster,
     ShardState,
     edge_key,
@@ -113,7 +117,6 @@ from repro.serve.stream import (
     RetrainController,
     RetrainPolicy,
     StreamChaosConfig,
-    StreamChaosReport,
     StreamConfig,
     StreamSupervisor,
     TailIngester,
@@ -139,11 +142,11 @@ __all__ = [
     "FleetPlan",
     "ScheduledTransfer",
     "SchedulerBenchmark",
+    "Verdict",
     "ChaosConfig",
-    "ChaosReport",
-    "CrashReport",
+    "MutationStream",
     "ObservedReplay",
-    "make_durable_events",
+    "make_mutation_stream",
     "run_chaos_replay",
     "run_crash_replay",
     "run_observed_replay",
@@ -151,6 +154,7 @@ __all__ = [
     "ServeBenchResult",
     "run_serve_bench",
     "DurabilityConfig",
+    "ServingState",
     "DurableServingState",
     "RecoveryReport",
     "recover_serving_state",
@@ -162,7 +166,6 @@ __all__ = [
     "HashRing",
     "edge_key",
     "ShardChaosConfig",
-    "ShardChaosReport",
     "run_shard_chaos",
     "run_shard_bench",
     "run_shard_scaling",
@@ -171,7 +174,6 @@ __all__ = [
     "RetrainController",
     "RetrainPolicy",
     "StreamChaosConfig",
-    "StreamChaosReport",
     "StreamConfig",
     "StreamSupervisor",
     "TailIngester",

@@ -1,27 +1,34 @@
-"""Chaos-replay fault injection for the serving engine.
+"""The proof harnesses' shared parts, and the two serving proofs.
 
 §4.3 of the paper is devoted to log imperfections and §5.3 shows faults
 are load-coupled — a serving layer fed by real Globus telemetry will see
-duplicated events, impossible values, and clocks that disagree.  This
-harness replays a synthetic transfer log through the live serving stack
-(:class:`~repro.serve.active_set.ActiveSet` +
+duplicated events, impossible values, and completions that never arrive.
+Every chaos proof in this repo (``repro-tools chaos``, ``state verify``,
+``stream chaos``, ``shard chaos``) is built from the same three parts:
+
+- :func:`make_mutation_stream` — one seeded fault menu over a transfer
+  log, as ``(data_time, wire_mutation)`` pairs in the wire form
+  :meth:`~repro.serve.durability.ServingState.apply` and
+  :meth:`~repro.serve.shard.ShardCluster.apply_mutations` take:
+  duplicate ``add``/``complete`` events and completions for ids that
+  were never started (at-least-once delivery), progress reports carrying
+  NaN, negative or infinite rates, transfers whose completion never
+  arrives, and a ``drift`` observation scoring each completion;
+- :class:`~repro.serve.durability.ServingState` — the journal-free
+  reference twin a crashed, recovered or sharded process must equal;
+- :class:`Verdict` — named pass/fail checks plus the facts behind them,
+  one ``render`` and one ``ok`` for every harness.
+
+This module holds the two single-process proofs.
+:func:`run_chaos_replay` feeds the stream through the live serving stack
+(:class:`~repro.serve.durability.ServingState` +
 :class:`~repro.serve.batch.BatchOnlinePredictor` over a
-:class:`~repro.serve.fallback.FallbackChain`) while injecting exactly
-those faults:
-
-- duplicate ``add``/``complete`` events and completions for ids that were
-  never started (at-least-once delivery);
-- progress reports carrying NaN, negative, or infinite rates;
-- transfers whose completion event never arrives;
-- clock skew between the predictor's ``now`` and the event timestamps;
-- prediction batches mixing known edges, modeled edges, and ghost edges
-  that appear in no log.
-
-Throughout, the harness asserts the engine stays consistent — the active
-population matches the replay's ground truth, every prediction is finite
-and positive, memory stays bounded by the injected load — and reports
-everything in a :class:`ChaosReport`, including per-tier prediction
-counts and fix-point non-convergence (``repro-tools chaos [--quick]``).
+:class:`~repro.serve.fallback.FallbackChain`) with clock-skewed prediction
+batches mixing modeled, known and ghost edges, and checks that every
+prediction is finite and positive and that the active population equals
+the stream's ground truth.  :func:`run_crash_replay` kills a journaled
+process mid-stream, tears its journal, recovers, and checks the result is
+bit-identical to the uninterrupted twin.
 """
 
 from __future__ import annotations
@@ -41,25 +48,99 @@ from repro.logs.io import QuarantineReport, read_jsonl
 from repro.logs.schema import LOG_DTYPE, TransferLogRecord
 from repro.logs.store import LogStore
 from repro.obs import Observability
-from repro.serve.active_set import ActiveSet
+from repro.serve.active_set import view_to_dict
 from repro.serve.batch import BatchOnlinePredictor
-from repro.serve.bench import make_synthetic_global_model, make_synthetic_model
+from repro.serve.bench import (
+    make_synthetic_global_model,
+    make_synthetic_model,
+    make_synthetic_requests,
+)
+from repro.serve.durability import (
+    DurabilityConfig,
+    ServingState,
+    recover_serving_state,
+)
+from repro.serve.durability.journal import wire_float
 from repro.serve.fallback import FallbackChain
 from repro.sim.gridftp import TransferRequest
 
 __all__ = [
+    "Verdict",
     "ChaosConfig",
-    "ChaosReport",
-    "CrashReport",
+    "MutationStream",
     "ObservedReplay",
+    "flip_middle_byte",
     "make_chaos_log",
     "make_chaos_chain",
-    "make_durable_events",
+    "make_mutation_stream",
     "run_chaos_replay",
     "run_crash_replay",
     "write_corrupt_jsonl",
     "run_observed_replay",
 ]
+
+
+@dataclass
+class Verdict:
+    """One proof run's outcome: named checks, each pass/fail with a
+    detail string, plus the facts (counts, digests, sub-reports) behind
+    them.  ``ok`` means at least one check ran and every check passed —
+    a proof that checked nothing proves nothing."""
+
+    title: str = ""
+    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    facts: dict = field(default_factory=dict)
+
+    def check(self, name: str, ok: bool, detail: str = "") -> bool:
+        self.checks.append((name, bool(ok), detail))
+        return bool(ok)
+
+    def passed(self, name: str) -> bool:
+        """Whether check ``name`` ran and every run of it passed."""
+        runs = [ok for n, ok, _ in self.checks if n == name]
+        return bool(runs) and all(runs)
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.checks) and all(ok for _, ok, _ in self.checks)
+
+    @property
+    def failed(self) -> list[tuple[str, bool, str]]:
+        return [c for c in self.checks if not c[1]]
+
+    def as_dict(self) -> dict:
+        return {"ok": self.ok, **self.facts,
+                "checks": [list(c) for c in self.checks]}
+
+    def render(self) -> str:
+        """Title, the ``verdict`` line, one line per check, then every
+        scalar fact (dict facts as an indented block of their scalars)."""
+        lines = [self.title] if self.title else []
+        lines.append(f"{'verdict':<25} {'OK' if self.ok else 'FAILED'}")
+        for name, ok, detail in self.checks:
+            lines.append(f"{name:<25} {'OK' if ok else 'FAILED'}"
+                         + (f"  ({detail})" if detail else ""))
+        for key, value in self.facts.items():
+            label = key.replace("_", " ")
+            if isinstance(value, dict):
+                items = [(k, v) for k, v in value.items()
+                         if not isinstance(v, (dict, list))]
+                if items:
+                    lines.append(f"{label}:")
+                    lines.extend(f"  {k:<23} {v}" for k, v in items)
+            elif not isinstance(value, list):
+                lines.append(f"{label:<25} {value}")
+        return "\n".join(lines)
+
+
+def flip_middle_byte(path: str | Path) -> None:
+    """Corrupt a file the way a bad sector would: invert its middle byte
+    (checksums must catch it; an empty file is left alone)."""
+    path = Path(path)
+    blob = bytearray(path.read_bytes())
+    if blob:
+        blob[len(blob) // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
 
 
 @dataclass(frozen=True)
@@ -108,75 +189,6 @@ class ChaosConfig:
         """A seconds-scale configuration for CI smoke runs."""
         return cls(n_transfers=120, n_endpoints=8, horizon_s=1500.0,
                    seed=seed, predict_every=15, batch_size=6)
-
-
-@dataclass
-class ChaosReport:
-    """Everything one chaos-replay run observed.
-
-    ``ok`` requires: no unexpected exceptions, no NaN/non-finite/
-    non-positive predictions, and a final active population exactly
-    matching the replay's ground truth (bounded memory: nothing leaks past
-    the injected never-completing transfers).
-    """
-
-    events: int = 0
-    prediction_batches: int = 0
-    predictions: int = 0
-    injected: dict[str, int] = field(default_factory=dict)
-    rejected_strict: int = 0
-    bad_predictions: int = 0
-    nonconverged: int = 0
-    never_completed: int = 0
-    max_active: int = 0
-    final_active: int = 0
-    expected_active: int = 0
-    consistent: bool = False
-    tier_counts: dict[str, int] = field(default_factory=dict)
-    predictor_stats: dict[str, float] = field(default_factory=dict)
-    active_stats: dict[str, int] = field(default_factory=dict)
-    drift: dict = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.consistent and self.bad_predictions == 0 and not self.errors
-
-    def render(self) -> str:
-        lines = [
-            f"chaos replay: {self.events} events, "
-            f"{self.prediction_batches} prediction batches "
-            f"({self.predictions} predictions)",
-            f"verdict                   {'OK' if self.ok else 'FAILED'}",
-            f"bad (non-finite) preds    {self.bad_predictions}",
-            f"nonconverged preds        {self.nonconverged}",
-            f"active population         final {self.final_active} / "
-            f"expected {self.expected_active} (max {self.max_active}) "
-            f"{'consistent' if self.consistent else 'INCONSISTENT'}",
-            f"never-completing leaked   {self.never_completed}",
-            f"strict-mode rejections    {self.rejected_strict}",
-            "injected faults:",
-        ]
-        for k in sorted(self.injected):
-            lines.append(f"  {k:<24}{self.injected[k]}")
-        lines.append("prediction tiers:")
-        for k, v in sorted(self.tier_counts.items()):
-            lines.append(f"  {k:<24}{v}")
-        lines.append("active-set stats:")
-        for k, v in self.active_stats.items():
-            lines.append(f"  {k:<24}{v}")
-        if self.drift:
-            overall = self.drift.get("overall", {})
-            lines.append(
-                f"prediction drift          "
-                f"{self.drift.get('observations', 0)} scored, "
-                f"MdAPE {overall.get('mdape', float('nan')):.1f}% "
-                f"p95 {overall.get('p95_ape', float('nan')):.1f}% "
-                f"bias {overall.get('bias_pct', float('nan')):+.1f}%"
-            )
-        for e in self.errors:
-            lines.append(f"error: {e}")
-        return "\n".join(lines)
 
 
 def make_chaos_log(config: ChaosConfig) -> LogStore:
@@ -283,68 +295,150 @@ def _make_batch(
     return requests
 
 
+@dataclass
+class MutationStream:
+    """A seeded fault-menu mutation stream: ``(data_time, wire_mutation)``
+    pairs in event order, and how many faults of each kind it injected."""
+
+    mutations: list[tuple[float, list]] = field(default_factory=list)
+    injected: dict[str, int] = field(default_factory=dict)
+
+    def __iter__(self):
+        return iter(self.mutations)
+
+    def __len__(self) -> int:
+        return len(self.mutations)
+
+
+_DRIFT_TIERS = ("edge", "global", "analytical", "median", "default")
+
+
+def make_mutation_stream(
+    config: ChaosConfig, log: LogStore | None = None
+) -> MutationStream:
+    """The fault menu over ``log`` (default: :func:`make_chaos_log`).
+
+    Each transfer contributes an ``add`` at its start and, at its end, a
+    ``complete`` followed by a ``drift`` observation scoring it against a
+    pseudo-prediction — unless its completion never arrives.  Faults
+    ride along with the ``ChaosConfig`` probabilities: duplicate adds and
+    completes, completes for ids never started, and progress reports
+    with NaN, negative or infinite rates; good progress reports keep the
+    population moving.  Non-finite floats are in wire form
+    (:func:`~repro.serve.durability.journal.wire_float`), so the stream
+    crosses a strict-JSON shard frame unchanged.
+
+    A pure function of its arguments (fresh RNG, no shared state): the
+    crashed run, its re-delivery, the reference twin and every shard see
+    the identical stream.
+    """
+    log = log if log is not None else make_chaos_log(config)
+    rng = np.random.default_rng(config.seed + 3)
+    data = log.raw()
+    timeline = sorted(
+        [(float(data["ts"][i]), 0, i) for i in range(len(data))]
+        + [(float(data["te"][i]), 1, i) for i in range(len(data))])
+    stream = MutationStream()
+    out = stream.mutations
+    live: list[int] = []  # generator-side mirror of the active population
+
+    def fault(kind: str, t: float, mutation: list | None) -> None:
+        stream.injected[kind] = stream.injected.get(kind, 0) + 1
+        if mutation is not None:
+            out.append((t, mutation))
+
+    for t, kind, i in timeline:
+        row = data[i]
+        tid = int(row["transfer_id"])
+        if kind == 0:
+            add = ["add", tid, view_to_dict(_view_from_row(row))]
+            out.append((t, add))
+            live.append(tid)
+            if rng.random() < config.p_duplicate_add:
+                fault("duplicate_add", t, add)
+        else:
+            if rng.random() < config.p_never_complete:
+                fault("never_complete", t, None)
+            else:
+                out.append((t, ["complete", tid]))
+                if tid in live:
+                    live.remove(tid)
+                realized = float(row["nb"]) / (float(row["te"]) - float(row["ts"]))
+                tier = _DRIFT_TIERS[int(rng.integers(len(_DRIFT_TIERS)))]
+                out.append((t, [
+                    "drift", str(row["src"]), str(row["dst"]), tier,
+                    realized * float(rng.uniform(0.7, 1.3)), realized,
+                ]))
+                if rng.random() < config.p_duplicate_complete:
+                    fault("duplicate_complete", t, ["complete", tid])
+            if rng.random() < config.p_unknown_complete:
+                fault("unknown_complete", t, ["complete", 10**9 + tid])
+        if rng.random() < config.p_bad_progress and live:
+            victim = live[int(rng.integers(len(live)))]
+            bad = float(rng.choice([np.nan, -1e8, np.inf]))
+            fault("bad_progress", t, ["progress", victim, wire_float(bad), None])
+        if rng.random() < config.p_good_progress and live:
+            victim = live[int(rng.integers(len(live)))]
+            out.append((t, ["progress", victim,
+                            float(rng.uniform(1e6, 5e8)), None]))
+    return stream
+
+
 def run_chaos_replay(
     config: ChaosConfig | None = None,
     obs: Observability | None = None,
     log: LogStore | None = None,
     progress=None,
     progress_every: int = 0,
-) -> ChaosReport:
-    """Replay a synthetic log through the serving stack under fault
-    injection; see the module docstring for the fault menu.
+) -> Verdict:
+    """Feed :func:`make_mutation_stream` through the serving stack, with
+    a clock-skewed prediction batch every ``predict_every`` mutations.
 
     With an :class:`~repro.obs.Observability` bundle the whole stack
     instruments itself through its registry, and — when the bundle has a
     drift monitor — every transfer is additionally *scored*: its rate is
-    predicted at submission time (just before its start event mutates the
-    active set) and compared against the realized ``nb / (te - ts)`` when
-    its completion arrives, feeding the rolling per-edge / per-tier MdAPE
-    gauges.  The scoring probes consume no replay randomness, so runs with
-    and without ``obs`` inject the identical fault sequence.
+    predicted at submission time (just before its ``add`` lands) and the
+    stream's ``drift`` mutation for its completion is applied with that
+    real prediction in place of the stream's pseudo-prediction, feeding
+    the rolling per-edge / per-tier MdAPE gauges.  Without scoring the
+    ``drift`` mutations are skipped.  The scoring probes consume no
+    replay randomness, so runs with and without ``obs`` inject the
+    identical fault sequence.
 
     ``log`` substitutes a caller-supplied store (e.g. the kept rows of a
     lenient ingest) for the freshly synthesized chaos log.  ``progress``
     (with ``progress_every > 0``) is called with the live, still-mutating
-    report every ``progress_every`` events — the hook behind the CLI's
-    ``--watch`` replay summaries.
+    verdict every ``progress_every`` mutations — the hook behind the
+    CLI's ``--watch`` replay summaries.
     """
     cfg = config or ChaosConfig()
     rng = np.random.default_rng(cfg.seed + 1)
     log = log if log is not None else make_chaos_log(cfg)
+    stream = make_mutation_stream(cfg, log)
     chain = make_chaos_chain(log, cfg)
-    active = ActiveSet(lenient=cfg.lenient, obs=obs)
-    engine = BatchOnlinePredictor(chain, active, obs=obs)
-    drift = obs.drift if obs is not None else None
-    pending_scores: dict[int, tuple[str, str, object, float]] = {}
+    state = ServingState(obs=obs, lenient=cfg.lenient)
+    engine = BatchOnlinePredictor(chain, state.active, obs=obs)
+    scoring = obs is not None and obs.drift is not None
     log_endpoints = sorted({str(e) for pair in log.edges() for e in pair})
-
     data = log.raw()
-    events: list[tuple[float, int, int]] = []  # (time, kind 0=start/1=end, row)
-    for i in range(len(data)):
-        events.append((float(data["ts"][i]), 0, i))
-        events.append((float(data["te"][i]), 1, i))
-    events.sort()
+    row_of = {int(tid): i for i, tid in enumerate(data["transfer_id"])}
 
-    report = ChaosReport()
-    inj = report.injected
-    started: set[int] = set()
+    verdict = Verdict()
+    facts = verdict.facts
+    facts.update(events=0, prediction_batches=0, predictions=0,
+                 bad_predictions=0, nonconverged=0, rejected_strict=0,
+                 final_active=0, expected_active=0, max_active=0,
+                 injected_faults=stream.injected)
+    added: set[int] = set()
     completed: set[int] = set()
-    never: set[int] = set()
+    submitted: dict[int, tuple] = {}  # tid -> (src, dst, tier, predicted)
+    finished = None                   # the completion the next drift scores
+    errors: list[str] = []
 
-    def bump(key: str) -> None:
-        inj[key] = inj.get(key, 0) + 1
-
-    def faulty(fn) -> None:
-        """Run one injected-fault mutation; strict mode rejects by raising."""
-        try:
-            fn()
-        except (KeyError, ValueError):
-            report.rejected_strict += 1
-
-    def score_start(t: float, i: int, tid: int) -> None:
+    def score_start(t: float, tid: int) -> None:
         """Predict the starting transfer's rate (submission-time view:
         before its own start event lands in the active set)."""
-        row = data[i]
+        row = data[row_of[tid]]
         req = TransferRequest(
             src=str(row["src"]),
             dst=str(row["dst"]),
@@ -360,60 +454,36 @@ def run_chaos_replay(
             return
         rate = float(pred.rates[0])
         if math.isfinite(rate) and rate >= 0:
-            pending_scores[tid] = (req.src, req.dst, pred.tiers[0], rate)
+            submitted[tid] = (req.src, req.dst, pred.tiers[0], rate)
 
-    def score_complete(i: int, tid: int) -> None:
-        scored = pending_scores.pop(tid, None)
-        if scored is None:
-            return
-        src, dst, tier, predicted = scored
-        row = data[i]
-        elapsed = float(row["te"]) - float(row["ts"])
-        if elapsed <= 0 or float(row["nb"]) <= 0:
-            return
-        drift.record(src, dst, tier, predicted, float(row["nb"]) / elapsed)
-
-    for n_event, (t, kind, i) in enumerate(events, 1):
-        tid = int(data["transfer_id"][i])
-        if kind == 0:
-            if drift is not None:
-                score_start(t, i, tid)
-            active.add(tid, _view_from_row(data[i]))
-            started.add(tid)
-            if rng.random() < cfg.p_duplicate_add:
-                bump("duplicate_add")
-                faulty(lambda: active.add(tid, _view_from_row(data[i])))
+    for n_event, (t, mutation) in enumerate(stream, 1):
+        op = mutation[0]
+        if op == "drift":
+            # A caller's log may hold zero-byte transfers; a zero realized
+            # rate is an upstream record, not drift.
+            if finished is not None and mutation[5] > 0:
+                state.record_drift(*finished, mutation[5])
+            finished = None
         else:
-            if rng.random() < cfg.p_never_complete:
-                never.add(tid)
-            else:
-                active.complete(tid)
+            tid = int(mutation[1])
+            if op == "add" and scoring and tid not in added:
+                score_start(t, tid)
+            try:
+                state.apply(mutation)
+            except (KeyError, ValueError):
+                facts["rejected_strict"] += 1  # strict mode rejects by raising
+            if op == "add":
+                added.add(tid)
+            elif op == "complete":
                 completed.add(tid)
-                if drift is not None:
-                    score_complete(i, tid)
-                if rng.random() < cfg.p_duplicate_complete:
-                    bump("duplicate_complete")
-                    faulty(lambda: active.complete(tid))
-            if rng.random() < cfg.p_unknown_complete:
-                bump("unknown_complete")
-                faulty(lambda: active.complete(10**9 + tid))
-        if rng.random() < cfg.p_bad_progress and len(active):
-            ids = active.ids()
-            victim = int(ids[int(rng.integers(len(ids)))])
-            bad = float(rng.choice([np.nan, -1e8, np.inf]))
-            bump("bad_progress")
-            faulty(lambda: active.progress(victim, rate=bad))
-        if rng.random() < cfg.p_good_progress and len(active):
-            ids = active.ids()
-            victim = int(ids[int(rng.integers(len(ids)))])
-            active.progress(victim, rate=float(rng.uniform(1e6, 5e8)))
+                finished = submitted.pop(tid, None)
 
-        report.events = n_event
-        report.max_active = max(report.max_active, len(active))
+        facts["events"] = n_event
+        facts["max_active"] = max(facts["max_active"], len(state.active))
         if progress is not None and progress_every \
                 and n_event % progress_every == 0:
-            report.final_active = len(active)
-            progress(report)
+            facts["final_active"] = len(state.active)
+            progress(verdict)
 
         if n_event % cfg.predict_every == 0:
             now = t + float(rng.uniform(-cfg.clock_skew_s, cfg.clock_skew_s))
@@ -421,34 +491,50 @@ def run_chaos_replay(
             try:
                 pred = engine.predict_batch_detailed(batch, now)
             except Exception as exc:  # noqa: BLE001 - the whole point
-                report.errors.append(
-                    f"predict_batch raised at event {n_event}: {exc!r}"
-                )
+                errors.append(f"predict_batch raised at mutation {n_event}: "
+                              f"{exc!r}")
                 continue
-            report.prediction_batches += 1
-            report.predictions += len(batch)
-            finite = np.isfinite(pred.rates) & (pred.rates > 0)
-            report.bad_predictions += int((~finite).sum())
+            facts["prediction_batches"] += 1
+            facts["predictions"] += len(batch)
+            good = np.isfinite(pred.rates) & (pred.rates > 0)
+            facts["bad_predictions"] += int((~good).sum())
 
-    expected = started - completed
-    actual = set(active.ids())
-    report.final_active = len(actual)
-    report.expected_active = len(expected)
-    report.never_completed = len(never & actual)
-    report.consistent = actual == expected
-    if not report.consistent:
-        leaked = sorted(actual - expected)[:5]
-        missing = sorted(expected - actual)[:5]
-        report.errors.append(
-            f"active population diverged: leaked {leaked}, missing {missing}"
-        )
-    report.nonconverged = engine.stats.nonconverged_requests
-    report.tier_counts = dict(engine.stats.tier_counts)
-    report.predictor_stats = engine.stats.as_dict()
-    report.active_stats = active.stats.as_dict()
-    if drift is not None:
-        report.drift = drift.snapshot()
-    return report
+    expected = added - completed
+    actual = set(state.active.ids())
+    facts.update(
+        final_active=len(actual),
+        expected_active=len(expected),
+        nonconverged=engine.stats.nonconverged_requests,
+        prediction_tiers=dict(engine.stats.tier_counts),
+        active_set_stats=state.active.stats.as_dict(),
+    )
+    verdict.title = (
+        f"chaos replay: {facts['events']} mutations, "
+        f"{facts['prediction_batches']} prediction batches "
+        f"({facts['predictions']} predictions)")
+    verdict.check(
+        "every prediction finite and positive",
+        facts["predictions"] > 0 and facts["bad_predictions"] == 0
+        and not errors,
+        f"{facts['bad_predictions']} bad of {facts['predictions']}"
+        + (f"; {len(errors)} batches raised, first: {errors[0]}"
+           if errors else ""))
+    verdict.check(
+        "active population consistent", actual == expected,
+        f"final {len(actual)} / expected {len(expected)}"
+        + ("" if actual == expected else
+           f", leaked {sorted(actual - expected)[:5]}, "
+           f"missing {sorted(expected - actual)[:5]}"))
+    if scoring:
+        drift = obs.drift.snapshot()
+        overall = drift.get("overall", {})
+        facts["drift"] = drift
+        facts["prediction_drift"] = (
+            f"{drift.get('observations', 0)} scored, "
+            f"MdAPE {overall.get('mdape', float('nan')):.1f}% "
+            f"p95 {overall.get('p95_ape', float('nan')):.1f}% "
+            f"bias {overall.get('bias_pct', float('nan')):+.1f}%")
+    return verdict
 
 
 # Cycled through by write_corrupt_jsonl, one fault per corrupted line.
@@ -497,7 +583,7 @@ class ObservedReplay:
     ingestion quarantine report, and the shared observability bundle whose
     registry holds every metric the run produced."""
 
-    report: ChaosReport
+    report: Verdict
     quarantine: QuarantineReport
     obs: Observability
 
@@ -544,201 +630,17 @@ def run_observed_replay(
 
 # -- crash injection ----------------------------------------------------------
 #
-# The crash-injection mode exercises the durability layer the same way the
-# fault-injection mode exercises the lenient serving engine: a deterministic
-# event stream is fed through a journaled DurableServingState, the process is
-# "killed" at an arbitrary event — with the journal tail torn at an arbitrary
-# byte offset, and optionally the newest snapshot corrupted — then recovery
-# plus re-delivery of the unacknowledged suffix must reproduce, bit for bit,
-# the state of an uninterrupted run over the same stream.
-
-
-def make_durable_events(config: ChaosConfig) -> list[dict]:
-    """A reproducible mutation stream for the durability layer.
-
-    Pure function of ``config`` (fresh RNG, no shared state), so the
-    crashed run, the recovery's re-delivery, and the uninterrupted
-    reference all see the identical stream — and a run with journaling
-    enabled consumes exactly the same randomness as one without, keeping
-    replays bit-identical either way.
-
-    The stream mirrors the fault-injection replay's menu in journal-op
-    form: ``add`` (with duplicates), good and NaN/negative ``progress``,
-    ``complete`` (with duplicates, unknown ids, and never-completing
-    transfers), and ``drift`` observations scoring each completion
-    against a pseudo-prediction.
-    """
-    from repro.serve.active_set import view_to_dict
-
-    log = make_chaos_log(config)
-    rng = np.random.default_rng(config.seed + 3)
-    data = log.raw()
-    timeline: list[tuple[float, int, int]] = []
-    for i in range(len(data)):
-        timeline.append((float(data["ts"][i]), 0, i))
-        timeline.append((float(data["te"][i]), 1, i))
-    timeline.sort()
-
-    tiers = ("edge", "global", "analytical", "median", "default")
-    events: list[dict] = []
-    live: list[int] = []  # generator-side mirror of the active population
-
-    for t, kind, i in timeline:
-        tid = int(data["transfer_id"][i])
-        row = data[i]
-        if kind == 0:
-            view = view_to_dict(_view_from_row(row))
-            events.append({"op": "add", "tid": tid, "view": view})
-            live.append(tid)
-            if rng.random() < config.p_duplicate_add:
-                events.append({"op": "add", "tid": tid, "view": view})
-        else:
-            if rng.random() < config.p_never_complete:
-                pass  # its completion event never arrives
-            else:
-                events.append({"op": "complete", "tid": tid})
-                if tid in live:
-                    live.remove(tid)
-                realized = float(row["nb"]) / (float(row["te"]) - float(row["ts"]))
-                events.append({
-                    "op": "drift",
-                    "src": str(row["src"]),
-                    "dst": str(row["dst"]),
-                    "tier": str(tiers[int(rng.integers(len(tiers)))]),
-                    "predicted": realized * float(rng.uniform(0.7, 1.3)),
-                    "realized": realized,
-                })
-                if rng.random() < config.p_duplicate_complete:
-                    events.append({"op": "complete", "tid": tid})
-            if rng.random() < config.p_unknown_complete:
-                events.append({"op": "complete", "tid": 10**9 + tid})
-        if rng.random() < config.p_bad_progress and live:
-            victim = live[int(rng.integers(len(live)))]
-            bad = float(rng.choice([np.nan, -1e8, np.inf]))
-            events.append({"op": "progress", "tid": victim, "rate": bad})
-        if rng.random() < config.p_good_progress and live:
-            victim = live[int(rng.integers(len(live)))]
-            events.append({
-                "op": "progress", "tid": victim,
-                "rate": float(rng.uniform(1e6, 5e8)),
-            })
-    return events
-
-
-def _apply_event(target, event: dict) -> None:
-    """Feed one stream event to either a plain (ActiveSet, DriftMonitor)
-    pair or a DurableServingState — the same mutation either way."""
-    op = event["op"]
-    if op == "add":
-        from repro.serve.active_set import view_from_dict
-
-        target.add(int(event["tid"]), view_from_dict(event["view"]))
-    elif op == "progress":
-        target.progress(
-            int(event["tid"]),
-            rate=event.get("rate"),
-            expected_end=event.get("expected_end"),
-        )
-    elif op == "complete":
-        target.complete(int(event["tid"]))
-    elif op == "drift":
-        target.record_drift(
-            event["src"], event["dst"], event["tier"],
-            float(event["predicted"]), float(event["realized"]),
-        )
-    else:  # pragma: no cover - generator emits only the ops above
-        raise ValueError(f"unknown event op {op!r}")
-
-
-class _PlainState:
-    """Journal-free twin of DurableServingState: the uninterrupted
-    reference a recovered process is compared against."""
-
-    def __init__(self, config: ChaosConfig, obs) -> None:
-        from repro.serve.active_set import ActiveSet as _ActiveSet
-
-        self.obs = obs
-        self.active = _ActiveSet(lenient=config.lenient, obs=obs)
-        self.drift = obs.drift
-
-    def add(self, tid, view):
-        self.active.add(tid, view)
-
-    def progress(self, tid, rate=None, expected_end=None):
-        self.active.progress(tid, rate=rate, expected_end=expected_end)
-
-    def complete(self, tid):
-        self.active.complete(tid)
-
-    def record_drift(self, src, dst, tier, predicted, realized):
-        self.drift.record(src, dst, tier, predicted, realized)
-
-    def state_fingerprint(self) -> dict:
-        return {
-            "active": self.active.snapshot_state(),
-            "drift": self.drift.dump_state(),
-        }
+# The crash-injection proof exercises the durability layer the way the
+# replay exercises the lenient serving engine: the mutation stream is fed
+# through a journaled DurableServingState, the process is "killed" at an
+# arbitrary mutation — with the journal tail torn at an arbitrary byte
+# offset, and optionally the newest snapshot corrupted — then recovery plus
+# re-delivery of the unacknowledged suffix must reproduce, bit for bit, the
+# state of the uninterrupted twin.
 
 
 def _drift_gauges(registry) -> dict[str, float]:
     return {k: v for k, v in registry.flat().items() if k.startswith("drift_")}
-
-
-@dataclass
-class CrashReport:
-    """One crash-injection trial: kill, tear, recover, prove equivalence.
-
-    ``ok`` is the acceptance property: after recovery plus re-delivery of
-    the unacknowledged suffix, the active population, the drift windows,
-    every ``drift_*`` metric, and the predictions served off the
-    recovered state are *identical* to an uninterrupted run.
-    """
-
-    events_total: int = 0
-    kill_after: int = 0
-    cut_bytes: int = 0
-    corrupt_snapshot: bool = False
-    recovery: dict = field(default_factory=dict)
-    resumed_events: int = 0
-    fingerprint_equal: bool = False
-    drift_gauges_equal: bool = False
-    predictions_equal: bool = False
-    probe_predictions: int = 0
-    max_prediction_delta: float = 0.0
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.fingerprint_equal
-            and self.drift_gauges_equal
-            and self.predictions_equal
-            and not self.errors
-        )
-
-    def render(self) -> str:
-        lines = [
-            f"crash replay: killed after {self.kill_after}/{self.events_total} "
-            f"events, journal tail torn by {self.cut_bytes} bytes"
-            + (", newest snapshot corrupted" if self.corrupt_snapshot else ""),
-            f"verdict                   {'OK' if self.ok else 'FAILED'}",
-            f"recovered from snapshot   "
-            f"gen {self.recovery.get('snapshot_generation', 0)} "
-            f"({self.recovery.get('snapshot_fallbacks', 0)} fallbacks)",
-            f"journal records replayed  "
-            f"{self.recovery.get('replayed_records', 0)} "
-            f"(+{self.resumed_events} re-delivered)",
-            f"torn bytes truncated      "
-            f"{self.recovery.get('truncated_bytes', 0)}",
-            f"active population equal   {self.fingerprint_equal}",
-            f"drift gauges equal        {self.drift_gauges_equal}",
-            f"predictions equal         {self.predictions_equal} "
-            f"(max |delta| {self.max_prediction_delta:.3g} B/s over "
-            f"{self.probe_predictions} probes)",
-        ]
-        for e in self.errors:
-            lines.append(f"error: {e}")
-        return "\n".join(lines)
 
 
 def run_crash_replay(
@@ -750,12 +652,11 @@ def run_crash_replay(
     snapshot_every: int = 64,
     probe_requests: int = 32,
     obs: Observability | None = None,
-) -> CrashReport:
+) -> Verdict:
     """One full crash-injection trial against the durability layer.
 
-    1. Run the uninterrupted reference: the full event stream through a
-       journal-free state (this also proves journaling consumes no
-       replay randomness — both runs share one stream).
+    1. Run the uninterrupted twin: the full mutation stream through a
+       journal-free :class:`~repro.serve.durability.ServingState`.
     2. Run the durable process: the stream up to ``kill_after_events``
        through a journaled :class:`~repro.serve.durability.DurableServingState`
        (auto-snapshotting every ``snapshot_every`` records), then kill it.
@@ -763,26 +664,26 @@ def run_crash_replay(
        the journal tail (a write killed at an arbitrary byte offset);
        with ``corrupt_snapshot``, also flip a byte inside the newest
        snapshot so recovery must fall back a generation.
-    4. Recover, re-deliver every event after the recovered ``last_seq``
+    4. Recover, re-deliver every mutation after the recovered ``last_seq``
        (the unacknowledged suffix a real event source would re-send),
-       and require the result to be indistinguishable from (1).
+       and require the result to be indistinguishable from (1): the
+       active population, the drift windows, every ``drift_*`` metric,
+       and the predictions served off the recovered state.
     """
-    from repro.serve.durability import DurabilityConfig, recover_serving_state
-
+    if cut_bytes < 0:
+        raise ValueError(f"cut_bytes must be >= 0, got {cut_bytes}")
     cfg = config or ChaosConfig()
-    events = make_durable_events(cfg)
+    mutations = [m for _, m in make_mutation_stream(cfg)]
     # Default kill point: ~60% through the stream — late enough that
     # several snapshot generations exist, early enough that a meaningful
     # suffix must be re-delivered.
-    kill = (len(events) * 3) // 5 if kill_after_events is None \
+    kill = (len(mutations) * 3) // 5 if kill_after_events is None \
         else int(kill_after_events)
-    kill = max(0, min(kill, len(events)))
-    report = CrashReport(
-        events_total=len(events),
-        kill_after=kill,
-        cut_bytes=int(cut_bytes),
-        corrupt_snapshot=bool(corrupt_snapshot),
-    )
+    kill = max(0, min(kill, len(mutations)))
+    verdict = Verdict(
+        title=f"crash replay: killed after {kill}/{len(mutations)} "
+              f"mutations, journal tail torn by {cut_bytes} bytes"
+              + (", newest snapshot corrupted" if corrupt_snapshot else ""))
 
     cleanup = None
     if state_dir is None:
@@ -792,63 +693,45 @@ def run_crash_replay(
         state_dir = cleanup.name
     state_dir = Path(state_dir)
     try:
-        # 1. uninterrupted reference (no journal).
-        reference = _PlainState(cfg, Observability.create(trace=False))
-        for event in events:
-            _apply_event(reference, event)
+        # 1. the uninterrupted twin (no journal).
+        reference = ServingState(lenient=cfg.lenient)
+        for mutation in mutations:
+            reference.apply(mutation)
 
         # 2. the durable process, killed mid-stream.
         durability = DurabilityConfig(snapshot_every=snapshot_every)
         victim, _ = recover_serving_state(
             state_dir, lenient=cfg.lenient, config=durability)
-        for event in events[:kill]:
-            _apply_event(victim, event)
+        for mutation in mutations[:kill]:
+            victim.apply(mutation)
         wal_path = victim._wal_path(victim.generation)
         victim.close()  # every append already flushed; the tear is below
 
         # 3. injure the disk.
         if cut_bytes and wal_path.exists():
             size = wal_path.stat().st_size
-            cut = min(int(cut_bytes), size)
             with wal_path.open("r+b") as fh:
-                fh.truncate(size - cut)
+                fh.truncate(size - min(int(cut_bytes), size))
         if corrupt_snapshot:
             generations = victim.snapshots.generations()
             if generations:
-                path = victim.snapshots.path_for(generations[-1])
-                blob = bytearray(path.read_bytes())
-                if blob:
-                    blob[len(blob) // 2] ^= 0xFF
-                    path.write_bytes(bytes(blob))
+                flip_middle_byte(victim.snapshots.path_for(generations[-1]))
 
         # 4. recover and re-deliver the unacknowledged suffix.
         bundle = obs if obs is not None else Observability.create(trace=False)
         recovered, recovery = recover_serving_state(
             state_dir, obs=bundle, lenient=cfg.lenient, config=durability)
-        report.recovery = recovery.as_dict()
-        resume_from = recovery.last_seq
-        if resume_from > kill:
-            report.errors.append(
-                f"journal acknowledged {resume_from} records but only "
-                f"{kill} events were delivered"
-            )
-            resume_from = kill
-        for event in events[resume_from:]:
-            _apply_event(recovered, event)
-        report.resumed_events = len(events) - resume_from
+        verdict.check(
+            "journal acked only delivered mutations",
+            recovery.last_seq <= kill,
+            f"acknowledged {recovery.last_seq}, delivered {kill}")
+        resume_from = min(recovery.last_seq, kill)
+        for mutation in mutations[resume_from:]:
+            recovered.apply(mutation)
 
         # -- the equivalence proof ---------------------------------------
-        report.fingerprint_equal = (
-            recovered.state_fingerprint() == reference.state_fingerprint()
-        )
-        report.drift_gauges_equal = (
-            _drift_gauges(recovered.registry)
-            == _drift_gauges(reference.obs.registry)
-        )
         log = make_chaos_log(cfg)
         chain = make_chaos_chain(log, cfg)
-        from repro.serve.bench import make_synthetic_requests
-
         requests = make_synthetic_requests(
             probe_requests, n_endpoints=cfg.n_endpoints, seed=cfg.seed + 9)
         now = cfg.horizon_s
@@ -856,12 +739,31 @@ def run_crash_replay(
             chain, reference.active).predict_batch(requests, now)
         rec_rates = BatchOnlinePredictor(
             chain, recovered.active).predict_batch(requests, now)
-        report.probe_predictions = len(requests)
-        report.predictions_equal = bool(np.array_equal(ref_rates, rec_rates))
         deltas = np.abs(ref_rates - rec_rates)
-        report.max_prediction_delta = float(deltas.max()) if deltas.size else 0.0
+        max_delta = float(deltas.max()) if deltas.size else 0.0
+        verdict.check(
+            "active population equal",
+            recovered.state_fingerprint() == reference.state_fingerprint(),
+            "active set and drift windows")
+        verdict.check(
+            "drift gauges equal",
+            _drift_gauges(recovered.registry)
+            == _drift_gauges(reference.registry))
+        verdict.check(
+            "predictions equal", bool(np.array_equal(ref_rates, rec_rates)),
+            f"max |delta| {max_delta:.3g} B/s over {len(requests)} probes")
+        verdict.facts.update(
+            events_total=len(mutations),
+            kill_after=kill,
+            cut_bytes=int(cut_bytes),
+            corrupt_snapshot=bool(corrupt_snapshot),
+            resumed_events=len(mutations) - resume_from,
+            probe_predictions=len(requests),
+            max_prediction_delta=max_delta,
+            recovery=recovery.as_dict(),
+        )
         recovered.close()
-        return report
+        return verdict
     finally:
         if cleanup is not None:
             cleanup.cleanup()

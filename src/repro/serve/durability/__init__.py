@@ -12,7 +12,8 @@ it survive the process:
 - :mod:`~repro.serve.durability.snapshot` — generation-numbered,
   checksummed, atomically replaced state snapshots with fallback past
   corrupt generations;
-- :mod:`~repro.serve.durability.recovery` —
+- :mod:`~repro.serve.durability.recovery` — :class:`ServingState` (the
+  journal-free contention state and its one mutation vocabulary),
   :class:`DurableServingState` (journal-before-apply mutations) and
   :func:`recover_serving_state` (snapshot + journal-suffix replay,
   provably equivalent to an uninterrupted run);
@@ -36,6 +37,7 @@ from repro.serve.durability.recovery import (
     DurabilityConfig,
     DurableServingState,
     RecoveryReport,
+    ServingState,
     recover_serving_state,
 )
 from repro.serve.durability.snapshot import LoadedSnapshot, SnapshotStore
@@ -47,6 +49,7 @@ __all__ = [
     "SnapshotStore",
     "LoadedSnapshot",
     "DurabilityConfig",
+    "ServingState",
     "DurableServingState",
     "RecoveryReport",
     "recover_serving_state",

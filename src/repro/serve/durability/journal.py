@@ -22,6 +22,7 @@ can skip records the snapshot already incorporates.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -29,10 +30,27 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-__all__ = ["Journal", "JournalScan", "TornRecord"]
+__all__ = ["Journal", "JournalScan", "TornRecord", "wire_float", "unwire_float"]
 
 _HEADER = struct.Struct("<II")
 _MAX_RECORD_BYTES = 64 * 1024 * 1024  # sanity cap: a longer length is garbage
+
+
+def wire_float(value: float | None) -> float | str | None:
+    """Encode a float for strict JSON (journal records and shard frames):
+    finite floats pass through (shortest-round-trip, bit-exact),
+    non-finite ones become their ``repr`` string (``"inf"``/``"-inf"``/
+    ``"nan"``) so even the malformed mutations lenient serving drops are
+    recorded faithfully, ``None`` stays ``None``."""
+    if value is None:
+        return None
+    value = float(value)
+    return value if math.isfinite(value) else repr(value)
+
+
+def unwire_float(value: float | str | None) -> float | None:
+    """Inverse of :func:`wire_float`."""
+    return None if value is None else float(value)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
-"""Durable serving state: WAL-ordered mutations, snapshots, recovery.
+"""Serving state: one mutation vocabulary, WAL ordering, snapshots, recovery.
 
-:class:`DurableServingState` wraps one serving process's volatile
-contention state — the :class:`~repro.serve.ActiveSet` the K*/G*/S*
-features are computed from, the :class:`~repro.obs.DriftMonitor`
-windows, and the :class:`~repro.obs.MetricsRegistry` totals — behind a
-write-ahead discipline: every mutation is framed into the journal
-*before* it touches memory.  Periodic snapshots bound replay time; each
-snapshot bumps the generation, rotates the journal to a fresh segment,
-and prunes old generations (always keeping a predecessor for checksum
-fallback).
+:class:`ServingState` is one serving process's volatile contention
+state — the :class:`~repro.serve.ActiveSet` the K*/G*/S* features are
+computed from, the :class:`~repro.obs.DriftMonitor` windows, and the
+:class:`~repro.obs.MetricsRegistry` totals — behind the four mutations
+(``add``/``progress``/``complete``/``record_drift``) and their wire form
+(:meth:`ServingState.apply`).  Journal-free, it is the reference twin
+every proof harness compares against.
+
+:class:`DurableServingState` adds a write-ahead discipline: every
+mutation is framed into the journal *before* it touches memory.
+Periodic snapshots bound replay time; each snapshot bumps the
+generation, rotates the journal to a fresh segment, and prunes old
+generations (always keeping a predecessor for checksum fallback).
 
 :func:`recover_serving_state` is the inverse: load the newest snapshot
 that verifies (falling back past corrupt generations), restore all three
@@ -30,38 +34,31 @@ Directory layout::
 
 from __future__ import annotations
 
-import math
+import hashlib
+import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs import DriftMonitor, MetricsRegistry, Observability, span
 from repro.serve.active_set import ActiveSet, view_from_dict, view_to_dict
-from repro.serve.durability.journal import Journal, TornRecord
+from repro.serve.durability.journal import (
+    Journal,
+    TornRecord,
+    unwire_float,
+    wire_float,
+)
 from repro.serve.durability.snapshot import SnapshotStore
 
 __all__ = [
     "DurabilityConfig",
+    "ServingState",
     "DurableServingState",
     "RecoveryReport",
     "recover_serving_state",
 ]
 
 _WAL_RE = re.compile(r"^wal-(\d{8})\.log$")
-
-
-def _encode_float(value) -> float | str | None:
-    """Strict-JSON-safe float: non-finite values ride as strings so the
-    journal can faithfully record even the malformed mutations that
-    lenient serving drops (replay must reject them identically)."""
-    if value is None:
-        return None
-    value = float(value)
-    return value if math.isfinite(value) else repr(value)
-
-
-def _decode_float(value) -> float | None:
-    return None if value is None else float(value)
 
 
 @dataclass(frozen=True)
@@ -126,15 +123,99 @@ class RecoveryReport:
         }
 
 
-class DurableServingState:
-    """The crash-durable triple (ActiveSet, DriftMonitor, registry).
+class ServingState:
+    """The contention triple (ActiveSet, DriftMonitor, registry), unjournaled.
+
+    Mutations mirror the :class:`~repro.serve.ActiveSet` API (:meth:`add`,
+    :meth:`progress`, :meth:`complete`) plus :meth:`record_drift`;
+    :meth:`apply` takes the same mutation in wire form, the list that
+    :meth:`~repro.serve.shard.ShardCluster.apply_mutations` broadcasts::
+
+        ["add", tid, view_dict]
+        ["progress", tid, rate, expected_end]      # floats via wire_float
+        ["complete", tid]
+        ["drift", src, dst, tier, predicted, realized]
+    """
+
+    def __init__(
+        self, obs: Observability | None = None, lenient: bool = True,
+    ) -> None:
+        self.obs = obs if obs is not None else Observability.create(trace=False)
+        self.registry: MetricsRegistry = self.obs.registry
+        self.active = ActiveSet(lenient=lenient, obs=self.obs)
+        self.drift: DriftMonitor = (
+            self.obs.drift if self.obs.drift is not None
+            else DriftMonitor(registry=self.registry)
+        )
+
+    def add(self, transfer_id: int, view) -> None:
+        self.active.add(int(transfer_id), view)
+
+    def progress(
+        self,
+        transfer_id: int,
+        rate: float | None = None,
+        expected_end: float | None = None,
+    ) -> None:
+        self.active.progress(
+            int(transfer_id), rate=rate, expected_end=expected_end)
+
+    def complete(self, transfer_id: int) -> None:
+        self.active.complete(int(transfer_id))
+
+    def record_drift(
+        self, src: str, dst: str, tier, predicted_rate: float,
+        realized_rate: float,
+    ) -> None:
+        tier_name = getattr(tier, "value", None) or str(tier)
+        self.drift.record(str(src), str(dst), str(tier_name),
+                          float(predicted_rate), float(realized_rate))
+
+    def apply(self, mutation: list) -> None:
+        """One wire-form mutation (see the class docstring)."""
+        kind = mutation[0]
+        if kind == "add":
+            self.add(int(mutation[1]), view_from_dict(mutation[2]))
+        elif kind == "progress":
+            self.progress(int(mutation[1]), rate=unwire_float(mutation[2]),
+                          expected_end=unwire_float(mutation[3]))
+        elif kind == "complete":
+            self.complete(int(mutation[1]))
+        elif kind == "drift":
+            self.record_drift(mutation[1], mutation[2], mutation[3],
+                              unwire_float(mutation[4]),
+                              unwire_float(mutation[5]))
+        else:
+            raise ValueError(f"unknown mutation kind {kind!r}")
+
+    def state_fingerprint(self) -> dict:
+        """The recovery-equivalence contract in one comparable value: the
+        exact active population (insertion-ordered) and the exact drift
+        windows.  Two states with equal fingerprints produce identical
+        predictions and identical drift gauges."""
+        return {
+            "active": self.active.snapshot_state(),
+            "drift": self.drift.dump_state(),
+        }
+
+    def fingerprint_digest(self) -> str:
+        """:meth:`state_fingerprint` as one sha256 hex digest (canonical
+        JSON: sorted keys, no whitespace — both sections are already
+        strict-JSON-safe because they are exactly what snapshots
+        serialize)."""
+        blob = json.dumps(
+            self.state_fingerprint(), separators=(",", ":"), sort_keys=True
+        ).encode("utf-8")
+        return hashlib.sha256(blob).hexdigest()
+
+
+class DurableServingState(ServingState):
+    """:class:`ServingState` behind a write-ahead journal and snapshots.
 
     Do not construct directly — :func:`recover_serving_state` is the
     single entry point; an empty directory recovers to a cold start, so
-    open and recover are the same operation.  Mutations mirror the
-    :class:`~repro.serve.ActiveSet` API (:meth:`add`, :meth:`progress`,
-    :meth:`complete`) plus :meth:`record_drift`, each journaled before it
-    is applied.
+    open and recover are the same operation.  Every mutation is journaled
+    before the base class applies it.
     """
 
     def __init__(
@@ -144,15 +225,9 @@ class DurableServingState:
         lenient: bool = True,
         config: DurabilityConfig | None = None,
     ) -> None:
+        super().__init__(obs=obs, lenient=lenient)
         self.state_dir = Path(state_dir)
         self.config = config or DurabilityConfig()
-        self.obs = obs if obs is not None else Observability.create(trace=False)
-        self.registry: MetricsRegistry = self.obs.registry
-        self.active = ActiveSet(lenient=lenient, obs=self.obs)
-        self.drift: DriftMonitor = (
-            self.obs.drift if self.obs.drift is not None
-            else DriftMonitor(registry=self.registry)
-        )
         self.snapshots = SnapshotStore(self.state_dir)
         self.generation = 0
         self.last_seq = 0
@@ -224,7 +299,7 @@ class DurableServingState:
     def add(self, transfer_id: int, view) -> None:
         record = self._next_record(
             "add", tid=int(transfer_id), view=view_to_dict(view))
-        self._apply(record, replay=False)
+        super().add(record["tid"], view_from_dict(record["view"]))
         self._maybe_snapshot()
 
     def progress(
@@ -234,17 +309,15 @@ class DurableServingState:
         expected_end: float | None = None,
     ) -> None:
         record = self._next_record(
-            "progress",
-            tid=int(transfer_id),
-            rate=_encode_float(rate),
-            expected_end=_encode_float(expected_end),
-        )
-        self._apply(record, replay=False)
+            "progress", tid=int(transfer_id), rate=wire_float(rate),
+            expected_end=wire_float(expected_end))
+        super().progress(record["tid"], rate=unwire_float(record["rate"]),
+                         expected_end=unwire_float(record["expected_end"]))
         self._maybe_snapshot()
 
     def complete(self, transfer_id: int) -> None:
         record = self._next_record("complete", tid=int(transfer_id))
-        self._apply(record, replay=False)
+        super().complete(record["tid"])
         self._maybe_snapshot()
 
     def record_drift(
@@ -255,43 +328,40 @@ class DurableServingState:
         record = self._next_record(
             "drift",
             src=str(src), dst=str(dst), tier=str(tier_name),
-            predicted=_encode_float(predicted_rate),
-            realized=_encode_float(realized_rate),
+            predicted=wire_float(predicted_rate),
+            realized=wire_float(realized_rate),
         )
-        self._apply(record, replay=False)
+        super().record_drift(record["src"], record["dst"], record["tier"],
+                             unwire_float(record["predicted"]),
+                             unwire_float(record["realized"]))
         self._maybe_snapshot()
 
-    def _apply(self, record: dict, replay: bool) -> None:
-        """One journaled mutation against the in-memory state.
-
-        Live path: exceptions propagate (the caller fed a bad mutation in
-        strict mode).  Replay path: the same exception is guaranteed to
-        recur — the mutation changed nothing the first time — so it is
-        counted and skipped to keep recovery total.
-        """
+    def _replay(self, record: dict) -> None:
+        """The on-disk decoder: one journal record through the base
+        (unjournaled) mutations.  A record the state rejects was rejected
+        identically when it was first applied — it changed nothing — so
+        it is counted and skipped to keep recovery total."""
         op = record.get("op")
         try:
             if op == "add":
-                self.active.add(int(record["tid"]),
-                                view_from_dict(record["view"]))
+                super().add(record["tid"], view_from_dict(record["view"]))
             elif op == "progress":
-                self.active.progress(
-                    int(record["tid"]),
-                    rate=_decode_float(record.get("rate")),
-                    expected_end=_decode_float(record.get("expected_end")),
+                super().progress(
+                    record["tid"],
+                    rate=unwire_float(record.get("rate")),
+                    expected_end=unwire_float(record.get("expected_end")),
                 )
             elif op == "complete":
-                self.active.complete(int(record["tid"]))
+                super().complete(record["tid"])
             elif op == "drift":
-                self.drift.record(
+                super().record_drift(
                     record["src"], record["dst"], record["tier"],
-                    float(record["predicted"]), float(record["realized"]),
+                    unwire_float(record["predicted"]),
+                    unwire_float(record["realized"]),
                 )
             else:
                 raise ValueError(f"unknown journal op {op!r}")
         except (KeyError, ValueError):
-            if not replay:
-                raise
             self._m_replay_rejected.inc()
 
     # -- snapshots ---------------------------------------------------------
@@ -335,18 +405,6 @@ class DurableServingState:
                     if segment < oldest_kept:
                         path.unlink(missing_ok=True)
             return generation
-
-    # -- equivalence probes ------------------------------------------------
-
-    def state_fingerprint(self) -> dict:
-        """The recovery-equivalence contract in one comparable value: the
-        exact active population (insertion-ordered) and the exact drift
-        windows.  Two states with equal fingerprints produce identical
-        predictions and identical drift gauges."""
-        return {
-            "active": self.active.snapshot_state(),
-            "drift": self.drift.dump_state(),
-        }
 
     def close(self) -> None:
         if self._journal is not None:
@@ -411,7 +469,7 @@ def recover_serving_state(
                 seq = int(record.get("seq", 0))
                 if seq <= state.last_seq:
                     continue  # already in the snapshot (or a duplicate)
-                state._apply(record, replay=True)
+                state._replay(record)
                 state.last_seq = seq
                 report.replayed_records += 1
         state._m_truncated.inc(report.truncated_bytes)

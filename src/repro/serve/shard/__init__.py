@@ -14,7 +14,7 @@ answer:
 - :mod:`repro.serve.shard.worker` — the worker process body: its own
   :class:`~repro.serve.durability.DurableServingState` (WAL + snapshots)
   and batch predictor behind a recv/dispatch/send loop
-  (:class:`ShardWorker`, :func:`fingerprint_digest`);
+  (:class:`ShardWorker`);
 - :mod:`repro.serve.shard.supervisor` — :class:`ShardCluster`, the
   router + supervisor + rebalancer: replication-log broadcast of
   mutations, ring-partitioned pipelined predicts reassembled in
@@ -53,7 +53,6 @@ from repro.serve.shard.bench import (
 )
 from repro.serve.shard.chaos import (
     ShardChaosConfig,
-    ShardChaosReport,
     run_shard_chaos,
 )
 from repro.serve.shard.protocol import (
@@ -70,7 +69,7 @@ from repro.serve.shard.supervisor import (
     ShardState,
     shard_names,
 )
-from repro.serve.shard.worker import ShardWorker, fingerprint_digest
+from repro.serve.shard.worker import ShardWorker
 
 __all__ = [
     "HashRing",
@@ -81,13 +80,11 @@ __all__ = [
     "send_frame",
     "recv_frame",
     "ShardWorker",
-    "fingerprint_digest",
     "ShardCluster",
     "ClusterConfig",
     "ShardState",
     "shard_names",
     "ShardChaosConfig",
-    "ShardChaosReport",
     "run_shard_chaos",
     "ShardBenchResult",
     "run_shard_bench",

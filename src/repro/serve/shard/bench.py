@@ -39,7 +39,7 @@ from repro.serve.bench import (
     make_synthetic_views,
 )
 from repro.serve.fallback import ModelTier
-from repro.serve.shard.chaos import make_chaos_chain
+from repro.serve.shard.chaos import make_full_coverage_chain
 from repro.serve.shard.supervisor import ClusterConfig, ShardCluster
 
 __all__ = ["ShardBenchResult", "run_shard_bench", "run_shard_scaling"]
@@ -145,7 +145,7 @@ def run_shard_bench(
     """
     if shards < 1 or repeats < 1:
         raise ValueError("shards and repeats must be >= 1")
-    chain = make_chaos_chain(n_endpoints, seed=seed)
+    chain = make_full_coverage_chain(n_endpoints, seed=seed)
     views = make_synthetic_views(
         n_active, n_endpoints=n_endpoints, seed=seed, now=now)
     requests = make_synthetic_requests(

@@ -1,11 +1,15 @@
 """Chaos proof for the sharded serving tier.
 
 :func:`run_shard_chaos` drives a :class:`~repro.serve.shard.ShardCluster`
-and a single-process reference predictor through the same scripted,
-seeded history — mutations, predict batches, SIGKILLs at varying points
-(before a mutation batch, between two halves of one, after mutations but
-before the predict), a drain, a rebalance, a checkpoint — and asserts
-the tier's three contracts after every round:
+and its single-process twin (a journal-free
+:class:`~repro.serve.durability.ServingState` behind a
+:class:`~repro.serve.batch.BatchOnlinePredictor`) through the same
+seeded fault stream (:func:`~repro.serve.chaos.make_mutation_stream`),
+cut into rounds — each round's mutations, a predict batch at the data
+time of its last mutation, SIGKILLs at varying points (before a mutation
+batch, between two halves of one, after mutations but before the
+predict), a drain, a rebalance, a checkpoint — and asserts the tier's
+three contracts after every round:
 
 1. **Every request is answered.**  The router never raises; every rate
    is finite and positive, even while a shard is down or draining.
@@ -23,32 +27,28 @@ the tier's three contracts after every round:
 The kill points are script positions rather than asynchronous timers, so
 a failing check replays exactly; they still exercise the full failure
 surface (crash discovered during mutate broadcast, during predict
-dispatch, during checkpoint).
+dispatch, during checkpoint).  Closing checks prove the script itself
+ran: every configured kill, drain, rebalance and checkpoint happened.
 """
 
 from __future__ import annotations
 
 import random
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.obs import Observability
-from repro.serve.active_set import ActiveSet
 from repro.serve.batch import BatchOnlinePredictor
-from repro.serve.bench import (
-    make_synthetic_model,
-    make_synthetic_requests,
-    make_synthetic_views,
-)
+from repro.serve.bench import make_synthetic_model, make_synthetic_requests
+from repro.serve.chaos import ChaosConfig, Verdict, make_mutation_stream
+from repro.serve.durability import ServingState
 from repro.serve.fallback import FallbackChain, ModelTier
 from repro.serve.shard.supervisor import ClusterConfig, ShardCluster
-from repro.serve.shard.worker import fingerprint_digest
 
-__all__ = ["ShardChaosConfig", "ShardChaosReport", "run_shard_chaos",
-           "make_chaos_chain"]
+__all__ = ["ShardChaosConfig", "run_shard_chaos", "make_full_coverage_chain"]
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class ShardChaosConfig:
 
     shards: int = 3
     rounds: int = 6
-    n_seed_views: int = 200          # in-flight population at round 0
+    n_seed_views: int = 200          # stream prefix applied before round 0
     n_requests: int = 64             # predict batch per round
     n_endpoints: int = 12
     mutations_per_round: int = 40
@@ -73,6 +73,11 @@ class ShardChaosConfig:
         for r in self.kill_rounds:
             if not 0 <= r < self.rounds:
                 raise ValueError(f"kill round {r} outside 0..{self.rounds - 1}")
+        for name in ("drain_round", "rebalance_round", "checkpoint_round"):
+            r = getattr(self, name)
+            if r is not None and not 0 <= r < self.rounds:
+                raise ValueError(
+                    f"{name} {r} outside 0..{self.rounds - 1}")
 
     @classmethod
     def quick(cls) -> "ShardChaosConfig":
@@ -84,57 +89,7 @@ class ShardChaosConfig:
         )
 
 
-@dataclass
-class ShardChaosReport:
-    """Every check the run performed, pass or fail, plus fault totals."""
-
-    shards: int = 0
-    rounds: int = 0
-    kills: int = 0
-    restarts: int = 0
-    degraded_answers: int = 0
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    def check(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name, bool(ok), detail))
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.checks) and all(ok for _, ok, _ in self.checks)
-
-    @property
-    def failed(self) -> list[tuple[str, bool, str]]:
-        return [c for c in self.checks if not c[1]]
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "shards": self.shards,
-            "rounds": self.rounds,
-            "kills": self.kills,
-            "restarts": self.restarts,
-            "degraded_answers": self.degraded_answers,
-            "checks": [list(c) for c in self.checks],
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"shards                    {self.shards}",
-            f"rounds                    {self.rounds}",
-            f"workers SIGKILLed         {self.kills}",
-            f"supervised restarts       {self.restarts}",
-            f"degraded answers          {self.degraded_answers}",
-            f"checks                    "
-            f"{sum(ok for _, ok, _ in self.checks)}/{len(self.checks)} passed",
-        ]
-        for name, ok, detail in self.checks:
-            mark = "PASS" if ok else "FAIL"
-            lines.append(f"  [{mark}] {name}" + (f"  {detail}" if detail else ""))
-        lines.append("chaos: " + ("OK" if self.ok else "FAILED"))
-        return "\n".join(lines)
-
-
-def make_chaos_chain(n_endpoints: int, seed: int = 0) -> FallbackChain:
+def make_full_coverage_chain(n_endpoints: int, seed: int = 0) -> FallbackChain:
     """A chain whose edge tier covers *every* edge of the endpoint
     universe (one shared synthetic model), with a median floor so
     degraded answers have a deterministic model-free value."""
@@ -149,118 +104,22 @@ def make_chaos_chain(n_endpoints: int, seed: int = 0) -> FallbackChain:
     )
 
 
-class _Reference:
-    """The single-process twin: same chain, same mutation history, same
-    observability wiring as a worker — the equality baseline."""
-
-    def __init__(self, chain: FallbackChain) -> None:
-        self.obs = Observability.create(trace=False)
-        self.active = ActiveSet(lenient=True, obs=self.obs)
-        self.predictor = BatchOnlinePredictor(chain, self.active, obs=self.obs)
-
-    def apply(self, mutation: list) -> None:
-        kind = mutation[0]
-        if kind == "add":
-            self.active.add(int(mutation[1]), mutation[2])
-        elif kind == "progress":
-            self.active.progress(
-                int(mutation[1]), rate=mutation[2], expected_end=mutation[3])
-        elif kind == "complete":
-            self.active.complete(int(mutation[1]))
-        elif kind == "drift":
-            self.obs.drift.record(
-                mutation[1], mutation[2], mutation[3],
-                mutation[4], mutation[5])
-        else:  # pragma: no cover - script bug
-            raise ValueError(f"unknown mutation kind {kind!r}")
-
-    def fingerprint(self) -> str:
-        return fingerprint_digest({
-            "active": self.active.snapshot_state(),
-            "drift": self.obs.drift.dump_state(),
-        })
-
-
-class _MutationScript:
-    """Seeded mutation generator shared by cluster and reference: adds
-    from a pre-built view pool, progress/complete over live transfers,
-    drift observations over the endpoint universe."""
-
-    def __init__(self, config: ShardChaosConfig) -> None:
-        self.rng = random.Random(config.seed + 1)
-        pool_size = config.n_seed_views \
-            + config.rounds * config.mutations_per_round
-        self.pool = make_synthetic_views(
-            pool_size, n_endpoints=config.n_endpoints, seed=config.seed)
-        self.next_tid = 0
-        self.live: list[int] = []
-        self.eps = [f"EP{i:03d}" for i in range(config.n_endpoints)]
-        self.tiers = [t.value for t in ModelTier if t is not ModelTier.DEGRADED]
-
-    def _add(self) -> list:
-        tid = self.next_tid
-        self.next_tid += 1
-        self.live.append(tid)
-        return ["add", tid, self.pool[tid]]
-
-    def seed_batch(self, n: int) -> list[list]:
-        return [self._add() for _ in range(n)]
-
-    def round_batch(self, n: int) -> list[list]:
-        out: list[list] = []
-        for _ in range(n):
-            roll = self.rng.random()
-            if roll < 0.4 or not self.live:
-                out.append(self._add())
-            elif roll < 0.6:
-                tid = self.rng.choice(self.live)
-                out.append([
-                    "progress", tid,
-                    self.rng.uniform(1e6, 5e8), None,
-                ])
-            elif roll < 0.75:
-                tid = self.live.pop(self.rng.randrange(len(self.live)))
-                out.append(["complete", tid])
-            else:
-                s, d = self.rng.sample(self.eps, 2)
-                out.append([
-                    "drift", s, d, self.rng.choice(self.tiers),
-                    self.rng.uniform(1e7, 5e8), self.rng.uniform(1e7, 5e8),
-                ])
-        return out
-
-
-def _apply(cluster: ShardCluster, ref: _Reference,
-           mutations: list[list]) -> None:
-    """One mutation batch down both paths.  The cluster wire format
-    carries views as dicts; the reference takes the view object itself."""
-    from repro.serve.active_set import view_to_dict
-
-    wire = []
-    for m in mutations:
-        if m[0] == "add":
-            wire.append(["add", m[1], view_to_dict(m[2])])
-        else:
-            wire.append(list(m))
-        ref.apply(m)
-    cluster.apply_mutations(wire)
-
-
 def run_shard_chaos(
     config: ShardChaosConfig | None = None,
     state_root: str | Path | None = None,
     obs: Observability | None = None,
     cluster_config: ClusterConfig | None = None,
-) -> ShardChaosReport:
+) -> Verdict:
     """Run the scripted chaos history; see the module docstring for the
     contracts asserted.  ``obs`` receives the router's ``shard_*``
     metrics and lifecycle events (for the CI artifact upload)."""
     config = config or ShardChaosConfig()
-    report = ShardChaosReport(shards=config.shards, rounds=config.rounds)
-    rng = random.Random(config.seed)
-    chain = make_chaos_chain(config.n_endpoints, seed=config.seed)
-    ref = _Reference(chain)
-    script = _MutationScript(config)
+    cluster_config = cluster_config or ClusterConfig()
+    verdict = Verdict(
+        title=f"shard chaos: {config.shards} shards, {config.rounds} rounds",
+        facts=dict(shards=config.shards, rounds=config.rounds, kills=0,
+                   restarts=0, degraded_answers=0))
+    chain = make_full_coverage_chain(config.n_endpoints, seed=config.seed)
 
     tmp = None
     if state_root is None:
@@ -269,84 +128,116 @@ def run_shard_chaos(
     try:
         cluster = ShardCluster(
             chain, state_root, shards=config.shards, obs=obs,
-            config=cluster_config or ClusterConfig(),
+            config=cluster_config,
         ).start()
         try:
-            _run_rounds(config, cluster, ref, chain, script, rng, report)
+            _run_rounds(config, cluster, chain,
+                        ServingState(lenient=cluster_config.lenient), verdict)
         finally:
-            report.restarts = sum(
+            verdict.facts["restarts"] = sum(
                 row["restarts"] for row in cluster.status())
             cluster.stop()
     finally:
         if tmp is not None:
             tmp.cleanup()
-    return report
+    return verdict
 
 
 def _run_rounds(config: ShardChaosConfig, cluster: ShardCluster,
-                ref: _Reference, chain: FallbackChain,
-                script: _MutationScript,
-                rng: random.Random, report: ShardChaosReport) -> None:
-    _apply(cluster, ref, script.seed_batch(config.n_seed_views))
+                chain: FallbackChain, twin: ServingState,
+                verdict: Verdict) -> None:
+    rng = random.Random(config.seed)
+    twin_predictor = BatchOnlinePredictor(chain, twin.active, obs=twin.obs)
+    need = config.n_seed_views + config.rounds * config.mutations_per_round
+    # Every transfer contributes at least its add, so ``need`` transfers
+    # always yield ``need`` mutations.
+    stream = make_mutation_stream(ChaosConfig(
+        n_transfers=need, n_endpoints=config.n_endpoints,
+        seed=config.seed)).mutations[:need]
+    facts = verdict.facts
+    ran: set[str] = set()
 
+    def feed(pairs: list) -> None:
+        batch = [m for _, m in pairs]
+        for mutation in batch:
+            twin.apply(mutation)
+        cluster.apply_mutations(batch)
+
+    def kill(victim: str) -> None:
+        cluster.kill(victim)
+        facts["kills"] += 1
+
+    feed(stream[:config.n_seed_views])
+    now = stream[config.n_seed_views - 1][0] if config.n_seed_views else 0.0
     for r in range(config.rounds):
-        now = 10_000.0 + 60.0 * r
+        start = config.n_seed_views + r * config.mutations_per_round
+        pairs = stream[start:start + config.mutations_per_round]
+        now = pairs[-1][0] if pairs else now
         requests = make_synthetic_requests(
             config.n_requests, n_endpoints=config.n_endpoints,
             seed=config.seed + 100 + r)
-        batch = script.round_batch(config.mutations_per_round)
-        half = len(batch) // 2
+        half = len(pairs) // 2
         kill_point = r % 3 if r in config.kill_rounds else None
         victim = rng.choice(list(cluster.ring.shards))
 
         if kill_point == 0:
-            cluster.kill(victim)
-            report.kills += 1
-        _apply(cluster, ref, batch[:half])
+            kill(victim)
+        feed(pairs[:half])
         if kill_point == 1:
-            cluster.kill(victim)
-            report.kills += 1
-        _apply(cluster, ref, batch[half:])
+            kill(victim)
+        feed(pairs[half:])
         if kill_point == 2:
-            cluster.kill(victim)
-            report.kills += 1
+            kill(victim)
 
         draining = None
         if r == config.drain_round:
             draining = victim
             cluster.drain(draining)
+            ran.add("drain")
 
         if r == config.rebalance_round:
             handoff = cluster.rebalance(victim if draining is None
                                         else _other(cluster, draining, rng))
-            report.check(
+            ran.add("rebalance")
+            verdict.check(
                 f"round {r}: rebalance handoff verified",
                 bool(handoff["fingerprint"]),
                 f"shard {handoff['shard']} seq {handoff['seq']}")
 
         result = cluster.predict_batch_detailed(requests, now)
-        expected = ref.predictor.predict_batch_detailed(requests, now)
+        expected = twin_predictor.predict_batch_detailed(requests, now)
         _check_round(r, cluster, chain, requests, result, expected,
-                     draining, report)
+                     draining, verdict)
 
         if draining is not None:
             cluster.restart(draining)
 
         if r == config.checkpoint_round:
             generations = cluster.checkpoint()
-            report.check(
+            ran.add("checkpoint")
+            verdict.check(
                 f"round {r}: checkpoint + log compaction",
                 len(generations) == config.shards,
                 f"generations {generations}, log base {cluster._base}")
 
         prints = cluster.fingerprints()
-        want = ref.fingerprint()
-        report.check(
+        want = twin.fingerprint_digest()
+        verdict.check(
             f"round {r}: state fingerprints bit-identical across "
             f"{len(prints)} shards + reference",
             len(prints) == config.shards
             and all(d == want for d in prints.values()),
             f"reference {want[:12]}…")
+
+    verdict.check(
+        "every scripted kill delivered",
+        facts["kills"] == len(config.kill_rounds),
+        f"{facts['kills']} of {len(config.kill_rounds)}")
+    for name in ("drain", "rebalance", "checkpoint"):
+        r = getattr(config, f"{name}_round")
+        if r is not None:
+            verdict.check(f"configured {name} ran", name in ran,
+                          f"round {r}")
 
 
 def _other(cluster: ShardCluster, not_this: str, rng: random.Random) -> str:
@@ -356,9 +247,9 @@ def _other(cluster: ShardCluster, not_this: str, rng: random.Random) -> str:
 
 def _check_round(r: int, cluster: ShardCluster, chain: FallbackChain,
                  requests, result, expected, draining: str | None,
-                 report: ShardChaosReport) -> None:
+                 verdict: Verdict) -> None:
     rates = np.asarray(result.rates)
-    report.check(
+    verdict.check(
         f"round {r}: every request answered",
         len(rates) == len(requests)
         and bool(np.all(np.isfinite(rates)) and np.all(rates > 0)),
@@ -366,13 +257,13 @@ def _check_round(r: int, cluster: ShardCluster, chain: FallbackChain,
 
     degraded_idx = [i for i, t in enumerate(result.tiers)
                     if t is ModelTier.DEGRADED]
-    report.degraded_answers += len(degraded_idx)
+    verdict.facts["degraded_answers"] += len(degraded_idx)
     clean = [i for i in range(len(requests)) if i not in set(degraded_idx)]
 
     diffs = np.abs(rates[clean] - np.asarray(expected.rates)[clean]) \
         if clean else np.zeros(0)
     max_diff = float(diffs.max()) if len(diffs) else 0.0
-    report.check(
+    verdict.check(
         f"round {r}: non-degraded answers bit-equal the single-process "
         f"reference",
         max_diff == 0.0
@@ -382,7 +273,7 @@ def _check_round(r: int, cluster: ShardCluster, chain: FallbackChain,
         f"{len(clean)} compared, max |diff| {max_diff:g}")
 
     if draining is None:
-        report.check(
+        verdict.check(
             f"round {r}: no degraded answers while all shards serve",
             not degraded_idx, f"{len(degraded_idx)} degraded")
     else:
@@ -394,7 +285,7 @@ def _check_round(r: int, cluster: ShardCluster, chain: FallbackChain,
             rates[i] == chain.constant_rate(requests[i].src,
                                             requests[i].dst)[1]
             for i in degraded_idx)
-        report.check(
+        verdict.check(
             f"round {r}: draining shard's requests degrade with explicit "
             f"provenance",
             tags_ok and values_ok,

@@ -18,10 +18,11 @@ corrupt frame.
 from __future__ import annotations
 
 import json
-import math
 import socket
 import struct
 import zlib
+
+from repro.serve.durability.journal import unwire_float, wire_float
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -51,24 +52,6 @@ class ConnectionClosed(ProtocolError):
 
 class FrameTimeout(ProtocolError):
     """No complete frame arrived within the deadline — hung worker."""
-
-
-def wire_float(value: float | None) -> float | str | None:
-    """Encode a float for a strict-JSON frame: finite floats pass through
-    (shortest-round-trip, bit-exact), non-finite ones become their
-    ``repr`` string (``"inf"``/``"-inf"``/``"nan"``) since strict JSON
-    has no spelling for them, ``None`` stays ``None``."""
-    if value is None:
-        return None
-    value = float(value)
-    return value if math.isfinite(value) else repr(value)
-
-
-def unwire_float(value: float | str | None) -> float | None:
-    """Inverse of :func:`wire_float`."""
-    if value is None:
-        return None
-    return float(value)
 
 
 def send_frame(sock: socket.socket, payload: dict) -> None:

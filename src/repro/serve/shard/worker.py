@@ -22,7 +22,8 @@ it, never double-applying a mutation that survived the tear.
 Worker ops
 ----------
 ``ping``        readiness + identity (shard, pid, last_seq, recovery info)
-``mutate``      apply a batch of journaled mutations; reply with last_seq
+``mutate``      apply a batch of wire mutations (:meth:`ServingState.apply`,
+                each journaled); reply with last_seq
 ``predict``     batch prediction for this shard's edges
 ``checkpoint``  snapshot now; reply with the new generation
 ``fingerprint`` sha256 digest of the state-equivalence fingerprint
@@ -33,14 +34,11 @@ Worker ops
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import socket
 from pathlib import Path
 
 from repro.obs import Observability
-from repro.serve.active_set import view_from_dict
 from repro.serve.batch import BatchOnlinePredictor
 from repro.serve.durability import (
     DurabilityConfig,
@@ -51,22 +49,10 @@ from repro.serve.shard.protocol import (
     ConnectionClosed,
     recv_frame,
     send_frame,
-    unwire_float,
 )
 from repro.sim.gridftp import TransferRequest
 
-__all__ = ["ShardWorker", "fingerprint_digest", "worker_entry"]
-
-
-def fingerprint_digest(fingerprint: dict) -> str:
-    """Collapse a :meth:`DurableServingState.state_fingerprint` dict into
-    one comparable sha256 hex digest (canonical JSON: sorted keys, no
-    whitespace — both sections are already strict-JSON-safe because they
-    are exactly what snapshots serialize)."""
-    blob = json.dumps(
-        fingerprint, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+__all__ = ["ShardWorker", "worker_entry"]
 
 
 class ShardWorker:
@@ -140,7 +126,7 @@ class ShardWorker:
             return False
         if op == "mutate":
             for mutation in request["mutations"]:
-                self._apply(mutation)
+                self.state.apply(mutation)
             reply["last_seq"] = self.state.last_seq
             return False
         if op == "predict":
@@ -160,9 +146,7 @@ class ShardWorker:
             reply["last_seq"] = self.state.last_seq
             return False
         if op == "fingerprint":
-            reply["fingerprint"] = fingerprint_digest(
-                self.state.state_fingerprint()
-            )
+            reply["fingerprint"] = self.state.fingerprint_digest()
             reply["last_seq"] = self.state.last_seq
             return False
         if op == "metrics":
@@ -176,27 +160,6 @@ class ShardWorker:
             reply["last_seq"] = self.state.last_seq
             return True
         raise ValueError(f"unknown op {op!r}")
-
-    def _apply(self, mutation: list) -> None:
-        """One broadcast mutation -> exactly one journal record."""
-        kind = mutation[0]
-        if kind == "add":
-            self.state.add(int(mutation[1]), view_from_dict(mutation[2]))
-        elif kind == "progress":
-            self.state.progress(
-                int(mutation[1]),
-                rate=unwire_float(mutation[2]),
-                expected_end=unwire_float(mutation[3]),
-            )
-        elif kind == "complete":
-            self.state.complete(int(mutation[1]))
-        elif kind == "drift":
-            self.state.record_drift(
-                str(mutation[1]), str(mutation[2]), str(mutation[3]),
-                float(mutation[4]), float(mutation[5]),
-            )
-        else:
-            raise ValueError(f"unknown mutation kind {kind!r}")
 
     def close(self) -> None:
         if self.state is not None:

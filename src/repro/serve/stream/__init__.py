@@ -8,7 +8,6 @@ failure-modes matrix.
 
 from repro.serve.stream.chaos import (
     StreamChaosConfig,
-    StreamChaosReport,
     run_stream_chaos,
 )
 from repro.serve.stream.retrain import (
@@ -34,7 +33,6 @@ __all__ = [
     "RetrainPolicy",
     "SimulatedCrash",
     "StreamChaosConfig",
-    "StreamChaosReport",
     "StreamConfig",
     "StreamSupervisor",
     "TailBatch",

@@ -11,7 +11,7 @@ checkpoint — via :class:`~repro.serve.stream.supervisor.SimulatedCrash`),
 and restarted against the same state directory.  Meanwhile one edge's
 fit function always raises (the poisoned edge) and one edge's published
 artifacts are always corrupted between publish and reload (the corrupt
-edge).  The final incarnation drains everything, and the report asserts:
+edge).  The final incarnation drains everything, and the verdict checks:
 
 - *offset-exact, exactly-once ingestion*: the running SHA-256 digest of
   applied records equals the digest of the file's kept rows in order,
@@ -41,7 +41,7 @@ and the applied digest must equal the concatenation of all three
 contents' kept rows.
 
 ``repro-tools stream chaos [--quick]`` runs both and exits non-zero
-unless every assertion holds.
+unless every check of the :class:`~repro.serve.chaos.Verdict` passes.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -61,13 +61,15 @@ from repro.obs import Observability
 from repro.obs.events import EventLog, read_events
 from repro.obs.slo import SLO, SLOEngine
 from repro.serve.bench import make_synthetic_model
-from repro.serve.chaos import ChaosConfig, make_chaos_log, write_corrupt_jsonl
-from repro.serve.fallback import FallbackChain, ModelTier
-from repro.serve.stream.retrain import (
-    BreakerState,
-    RetrainController,
-    RetrainPolicy,
+from repro.serve.chaos import (
+    ChaosConfig,
+    Verdict,
+    flip_middle_byte,
+    make_chaos_log,
+    write_corrupt_jsonl,
 )
+from repro.serve.fallback import FallbackChain, ModelTier
+from repro.serve.stream.retrain import RetrainController, RetrainPolicy
 from repro.serve.stream.supervisor import (
     SimulatedCrash,
     StreamConfig,
@@ -77,7 +79,7 @@ from repro.serve.stream.supervisor import (
 from repro.serve.stream.tail import TailIngester
 from repro.sim.gridftp import TransferRequest
 
-__all__ = ["StreamChaosConfig", "StreamChaosReport", "run_stream_chaos"]
+__all__ = ["StreamChaosConfig", "run_stream_chaos"]
 
 
 @dataclass(frozen=True)
@@ -102,140 +104,6 @@ class StreamChaosConfig:
     @classmethod
     def quick(cls, seed: int = 0) -> "StreamChaosConfig":
         return cls(n_transfers=120, n_endpoints=6, phases=3, seed=seed)
-
-
-@dataclass
-class StreamChaosReport:
-    """Everything both sub-scenarios observed, plus the three verdicts."""
-
-    incarnations: int = 0
-    crashes_injected: int = 0
-    # A: exactly-once
-    reference_records: int = 0
-    applied_records: int = 0
-    reference_digest: str = ""
-    applied_digest: str = ""
-    quarantined_rows: int = 0
-    # A: breaker
-    poisoned_edge: str = ""
-    breaker_state: str = ""
-    breaker_opens: int = 0
-    poisoned_refit_failures: int = 0
-    poisoned_still_scheduled: bool = False
-    poisoned_tier: str = ""
-    poisoned_rate: float = math.nan
-    # A: never-unseat
-    corrupt_edge: str = ""
-    rollbacks: int = 0
-    corrupt_artifacts_published: int = 0
-    live_model_preserved: bool = False
-    # A: alert determinism (crash-resumed vs uninterrupted reference)
-    alert_transitions: int = 0
-    reference_alert_transitions: int = 0
-    alerts_fired: int = 0
-    alerts_match: bool = False
-    slo_samples_match: bool = False
-    event_seqs_unique: bool = False
-    alert_events_durable: bool = False
-    # B: truncation / rotation
-    truncation_resets: int = 0
-    rotation_resets: int = 0
-    reset_reference_records: int = 0
-    reset_applied_records: int = 0
-    reset_digest_equal: bool = False
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def exactly_once(self) -> bool:
-        return (self.applied_records == self.reference_records
-                and self.reference_records > 0
-                and self.applied_digest == self.reference_digest)
-
-    @property
-    def breaker_opened(self) -> bool:
-        return (self.breaker_state == "OPEN"
-                and self.breaker_opens >= 1
-                and not self.poisoned_still_scheduled)
-
-    @property
-    def fallback_served(self) -> bool:
-        return (math.isfinite(self.poisoned_rate)
-                and self.poisoned_rate > 0
-                and self.poisoned_tier not in ("", ModelTier.EDGE.value))
-
-    @property
-    def never_unseated(self) -> bool:
-        return (self.live_model_preserved
-                and self.rollbacks >= 1
-                and self.corrupt_artifacts_published >= 1)
-
-    @property
-    def resets_exact(self) -> bool:
-        return (self.truncation_resets >= 1
-                and self.rotation_resets >= 1
-                and self.reset_applied_records == self.reset_reference_records
-                and self.reset_digest_equal)
-
-    @property
-    def alerts_deterministic(self) -> bool:
-        """Crash-resumed and uninterrupted runs fire the identical alert
-        ledger (same count, same seqs, same data times), with at least
-        one real alert exercised, unique event seqs in the sink, and the
-        sink's alert events exactly mirroring the engine ledger."""
-        return (self.alerts_match
-                and self.alerts_fired >= 1
-                and self.slo_samples_match
-                and self.event_seqs_unique
-                and self.alert_events_durable)
-
-    @property
-    def ok(self) -> bool:
-        return (self.exactly_once and self.breaker_opened
-                and self.fallback_served and self.never_unseated
-                and self.alerts_deterministic
-                and self.resets_exact and not self.errors)
-
-    def render(self) -> str:
-        lines = [
-            f"stream chaos: {self.incarnations} incarnations, "
-            f"{self.crashes_injected} injected crashes",
-            f"verdict                   {'OK' if self.ok else 'FAILED'}",
-            f"exactly-once ingestion    "
-            f"{'OK' if self.exactly_once else 'FAILED'} "
-            f"(applied {self.applied_records} / "
-            f"reference {self.reference_records}, "
-            f"digest {'match' if self.applied_digest == self.reference_digest else 'MISMATCH'}, "
-            f"{self.quarantined_rows} quarantined)",
-            f"circuit breaker           "
-            f"{'OK' if self.breaker_opened else 'FAILED'} "
-            f"({self.poisoned_edge}: {self.breaker_state}, "
-            f"{self.breaker_opens} opens, "
-            f"{self.poisoned_refit_failures} consecutive failures)",
-            f"fallback serving          "
-            f"{'OK' if self.fallback_served else 'FAILED'} "
-            f"(tier={self.poisoned_tier or '?'}, "
-            f"rate={self.poisoned_rate:.4g} B/s)",
-            f"live model never unseated "
-            f"{'OK' if self.never_unseated else 'FAILED'} "
-            f"({self.corrupt_edge}: {self.rollbacks} rollbacks over "
-            f"{self.corrupt_artifacts_published} corrupted artifacts)",
-            f"alert determinism         "
-            f"{'OK' if self.alerts_deterministic else 'FAILED'} "
-            f"({self.alert_transitions} transitions vs reference "
-            f"{self.reference_alert_transitions}, {self.alerts_fired} fired; "
-            f"samples {'match' if self.slo_samples_match else 'MISMATCH'}, "
-            f"seqs {'unique' if self.event_seqs_unique else 'DUPLICATED'}, "
-            f"sink {'durable' if self.alert_events_durable else 'DIVERGED'})",
-            f"truncation/rotation       "
-            f"{'OK' if self.resets_exact else 'FAILED'} "
-            f"({self.truncation_resets} truncations, "
-            f"{self.rotation_resets} rotations, applied "
-            f"{self.reset_applied_records} / "
-            f"{self.reset_reference_records})",
-        ]
-        for e in self.errors:
-            lines.append(f"error: {e}")
-        return "\n".join(lines)
 
 
 def _chaos_fit(task, poisoned=(), seed=0):
@@ -274,13 +142,6 @@ def _policy() -> RetrainPolicy:
     )
 
 
-def _corrupt_file(path: Path) -> None:
-    blob = bytearray(path.read_bytes())
-    if blob:
-        blob[len(blob) // 2] ^= 0xFF
-        path.write_bytes(bytes(blob))
-
-
 def _chaos_slos() -> list:
     """The two SLOs whose SLIs are pure functions of checkpointed state
     (tail quarantine totals; data-time checkpoint staleness), so the
@@ -305,36 +166,90 @@ def run_stream_chaos(
     config: StreamChaosConfig | None = None,
     work_dir: str | Path | None = None,
     obs: Observability | None = None,
-) -> StreamChaosReport:
+) -> Verdict:
     cfg = config or StreamChaosConfig()
-    report = StreamChaosReport()
+    verdict = Verdict()
     cleanup = None
     if work_dir is None:
         cleanup = tempfile.TemporaryDirectory(prefix="repro-stream-chaos-")
         work_dir = cleanup.name
     work_dir = Path(work_dir)
     try:
-        _scenario_crashes(cfg, work_dir / "a", report,
+        _scenario_crashes(cfg, work_dir / "a", verdict,
                           obs or Observability.create(trace=False))
-        _scenario_resets(cfg, work_dir / "b", report)
+        _scenario_resets(cfg, work_dir / "b", verdict)
     finally:
         if cleanup is not None:
             cleanup.cleanup()
-    return report
+    facts = verdict.facts
+    verdict.title = (f"stream chaos: {facts.get('incarnations', 0)} "
+                     f"incarnations, {facts.get('crashes_injected', 0)} "
+                     f"injected crashes")
+    return verdict
 
 
 # -- scenario A: crashes, poison, artifact corruption -------------------------
 
 
+def _build_supervisor(cfg: StreamChaosConfig, home: Path, obs: Observability,
+                      kept: LogStore, poisoned_edge: tuple, corrupt_edge: tuple,
+                      base_model, publishes: list | None = None,
+                      crash_hook=None) -> StreamSupervisor:
+    """One scenario-A supervisor over ``home``'s live file, state and
+    artifacts: the poisoned edge's refits always raise, every artifact the
+    corrupt edge publishes gets a flipped byte (appended to ``publishes``
+    when given), and ``base_model`` seeds the corrupt edge's live entry.
+    The crash-run incarnations and the uninterrupted reference are all
+    built here, so they differ only in their directory and ``crash_hook``."""
+    def publish_hook(edge, generation, path):
+        if tuple(edge) == corrupt_edge:
+            if publishes is not None:
+                publishes.append(generation)
+            flip_middle_byte(path)
+
+    controller = RetrainController(
+        FallbackChain.from_log(kept, edge_models={corrupt_edge: base_model}),
+        obs.drift, home / "artifacts", policy=_policy(),
+        fit_fn=partial(_chaos_fit, poisoned=(poisoned_edge,), seed=cfg.seed),
+        registry=obs.registry, tracer=obs.tracer, seed=cfg.seed,
+        publish_hook=publish_hook,
+    )
+    return StreamSupervisor(
+        TailIngester(home / "transfers.jsonl", fmt="jsonl",
+                     registry=obs.registry, seed=cfg.seed),
+        controller, home / "state", obs=obs,
+        config=StreamConfig(
+            poll_interval_s=0.0,
+            max_backlog_records=4 * cfg.max_apply_per_cycle,
+            max_apply_per_cycle=cfg.max_apply_per_cycle,
+            checkpoint_every=1,
+        ),
+        sleep=lambda _s: None,
+        crash_hook=crash_hook,
+    )
+
+
+def _crash_at(stage: str):
+    def hook(s):
+        if s == stage:
+            raise SimulatedCrash(f"injected at {s}")
+    return hook
+
+
 def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
-                      report: StreamChaosReport, obs: Observability) -> None:
+                      verdict: Verdict, obs: Observability) -> None:
+    facts = verdict.facts
     root.mkdir(parents=True, exist_ok=True)
-    live = root / "transfers.jsonl"
-    state_dir = root / "state"
-    artifact_root = root / "artifacts"
+    # The uninterrupted reference lives in its own directories under
+    # ``ref``, following the exact same phased appends, never crashed,
+    # never rebuilt.  Its alert ledger is what the crash-resumed run must
+    # reproduce bit for bit.
+    ref_root = root / "ref"
+    ref_root.mkdir(parents=True, exist_ok=True)
+    ref_obs = Observability.create(trace=False)
 
     # The full corrupt file, pre-rendered so the reference is computable
-    # up front; it reaches the live file in phased appends below.
+    # up front; it reaches the live files in phased appends below.
     log = _completion_ordered(make_chaos_log(ChaosConfig(
         n_transfers=cfg.n_transfers, n_endpoints=cfg.n_endpoints,
         seed=cfg.seed)))
@@ -343,109 +258,39 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
     all_lines = full.read_text().splitlines(keepends=True)
 
     kept, quarantine = read_jsonl(full, strict=False)
-    report.reference_records = len(kept)
-    report.reference_digest = fold_digest("", kept.raw())
-
     edges = kept.heavy_edges(1)
-    if len(edges) < 2:
-        report.errors.append("chaos log produced fewer than 2 edges")
+    if not verdict.check("chaos log has a poisoned and a corrupt edge",
+                         len(edges) >= 2, f"{len(edges)} heavy edges"):
         return
     poisoned_edge = tuple(edges[0])
     corrupt_edge = tuple(edges[1])
-    report.poisoned_edge = f"{poisoned_edge[0]}->{poisoned_edge[1]}"
-    report.corrupt_edge = f"{corrupt_edge[0]}->{corrupt_edge[1]}"
+    facts.update(incarnations=0, crashes_injected=0,
+                 poisoned_edge=f"{poisoned_edge[0]}->{poisoned_edge[1]}",
+                 corrupt_edge=f"{corrupt_edge[0]}->{corrupt_edge[1]}")
 
-    corrupt_publishes = {"n": 0}
+    def model():
+        return dataclasses.replace(make_synthetic_model(cfg.seed),
+                                   src=corrupt_edge[0], dst=corrupt_edge[1])
 
-    def publish_hook(edge, generation, path):
-        if tuple(edge) == corrupt_edge:
-            corrupt_publishes["n"] += 1
-            _corrupt_file(path)
-
-    base_model = dataclasses.replace(
-        make_synthetic_model(cfg.seed),
-        src=corrupt_edge[0], dst=corrupt_edge[1])
-
-    # The crash run's diagnosis layer: a durable JSONL sink (its seqs are
+    # Each run's diagnosis layer: a durable JSONL sink (its seqs are
     # checkpointed, so recovery must truncate and re-emit) plus the
     # alert-deterministic SLO engine.
-    events_path = root / "events.jsonl"
-    obs.events = EventLog(path=events_path, registry=obs.registry)
-    obs.slo = SLOEngine(_chaos_slos(), registry=obs.registry,
-                        events=obs.events)
+    for bundle, home in ((obs, root), (ref_obs, ref_root)):
+        bundle.events = EventLog(path=home / "events.jsonl",
+                                 registry=bundle.registry)
+        bundle.slo = SLOEngine(_chaos_slos(), registry=bundle.registry,
+                               events=bundle.events)
 
-    stream_config = StreamConfig(
-        poll_interval_s=0.0,
-        max_backlog_records=4 * cfg.max_apply_per_cycle,
-        max_apply_per_cycle=cfg.max_apply_per_cycle,
-        checkpoint_every=1,
-    )
+    base_model = model()
+    publishes: list[int] = []
+    build = partial(_build_supervisor, cfg, root, obs, kept, poisoned_edge,
+                    corrupt_edge, base_model, publishes)
+    ref = _build_supervisor(cfg, ref_root, ref_obs, kept, poisoned_edge,
+                            corrupt_edge, model())
 
-    def build(crash_hook=None):
-        chain = FallbackChain.from_log(
-            kept, edge_models={corrupt_edge: base_model})
-        tail = TailIngester(live, fmt="jsonl", registry=obs.registry,
-                            seed=cfg.seed)
-        controller = RetrainController(
-            chain, obs.drift, artifact_root, policy=_policy(),
-            fit_fn=partial(_chaos_fit, poisoned=(poisoned_edge,),
-                           seed=cfg.seed),
-            registry=obs.registry, tracer=obs.tracer, seed=cfg.seed,
-            publish_hook=publish_hook,
-        )
-        return StreamSupervisor(
-            tail, controller, state_dir, obs=obs,
-            config=stream_config,
-            sleep=lambda _s: None,
-            crash_hook=crash_hook,
-        )
-
-    # The uninterrupted reference: one persistent supervisor in its own
-    # directories following the exact same phased appends, never crashed,
-    # never rebuilt.  Its alert ledger is what the crash-resumed run must
-    # reproduce bit for bit.
-    ref_root = root / "ref"
-    ref_root.mkdir(parents=True, exist_ok=True)
-    ref_live = ref_root / "transfers.jsonl"
-    ref_obs = Observability.create(trace=False)
-    ref_obs.events = EventLog(path=ref_root / "events.jsonl",
-                              registry=ref_obs.registry)
-    ref_obs.slo = SLOEngine(_chaos_slos(), registry=ref_obs.registry,
-                            events=ref_obs.events)
-
-    def ref_publish_hook(edge, generation, path):
-        # Same artifact corruption, but not counted into the report.
-        if tuple(edge) == corrupt_edge:
-            _corrupt_file(path)
-
-    ref = StreamSupervisor(
-        TailIngester(ref_live, fmt="jsonl", registry=ref_obs.registry,
-                     seed=cfg.seed),
-        RetrainController(
-            FallbackChain.from_log(
-                kept,
-                edge_models={corrupt_edge: dataclasses.replace(
-                    make_synthetic_model(cfg.seed),
-                    src=corrupt_edge[0], dst=corrupt_edge[1])}),
-            ref_obs.drift, ref_root / "artifacts", policy=_policy(),
-            fit_fn=partial(_chaos_fit, poisoned=(poisoned_edge,),
-                           seed=cfg.seed),
-            registry=ref_obs.registry, seed=cfg.seed,
-            publish_hook=ref_publish_hook,
-        ),
-        ref_root / "state", obs=ref_obs,
-        config=stream_config,
-        sleep=lambda _s: None,
-    )
-
-    def crash_hook_for(stage: str):
-        def hook(s):
-            if s == stage:
-                raise SimulatedCrash(f"injected at {s}")
-        return hook
-
-    live.write_text("")
-    ref_live.write_text("")
+    lives = (root / "transfers.jsonl", ref_root / "transfers.jsonl")
+    for live in lives:
+        live.write_text("")
     phase_chunks = np.array_split(np.arange(len(all_lines)), cfg.phases)
     carry = ""
     for phase, chunk in enumerate(phase_chunks):
@@ -456,68 +301,99 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
             # it, and the tail must not consume it early.
             cut = max(1, len(all_lines[chunk[-1]]) // 2)
             carry, text = text[-cut:], text[:-cut]
-        with live.open("a") as fh:
-            fh.write(text)
-        with ref_live.open("a") as fh:
-            fh.write(text)
+        for live in lives:
+            with live.open("a") as fh:
+                fh.write(text)
 
         if phase < cfg.phases - 1:
             stage = cfg.crash_stages[phase % len(cfg.crash_stages)]
-            victim = build(crash_hook=crash_hook_for(stage))
-            report.incarnations += 1
+            victim = build(crash_hook=_crash_at(stage))
+            facts["incarnations"] += 1
+            crashed = False
             try:
                 victim.run(max_cycles=cfg.cycles_per_incarnation)
-                report.errors.append(
-                    f"phase {phase}: expected a crash at {stage!r}")
             except SimulatedCrash:
-                report.crashes_injected += 1
-        survivor = build()
-        report.incarnations += 1
-        survivor.run(max_cycles=cfg.cycles_per_incarnation)
-        final = survivor
+                crashed = True
+                facts["crashes_injected"] += 1
+            verdict.check(f"phase {phase}: crash injected at {stage!r}",
+                          crashed)
+        final = build()
+        facts["incarnations"] += 1
+        final.run(max_cycles=cfg.cycles_per_incarnation)
         ref.run(max_cycles=cfg.cycles_per_incarnation)
 
-    report.applied_records = final.applied_records
-    report.applied_digest = final.applied_digest
-    report.quarantined_rows = (final.tail.report.total_rows
-                               - final.tail.report.kept_rows)
-    if report.quarantined_rows != (quarantine.total_rows
-                                   - quarantine.kept_rows):
-        report.errors.append(
-            f"quarantine drifted: tail saw {report.quarantined_rows}, "
-            f"batch reference {quarantine.total_rows - quarantine.kept_rows}")
+    # Exactly-once ingestion across every crash.
+    reference_digest = fold_digest("", kept.raw())
+    quarantined = final.tail.report.total_rows - final.tail.report.kept_rows
+    facts.update(
+        reference_records=len(kept),
+        applied_records=final.applied_records,
+        reference_digest=reference_digest,
+        applied_digest=final.applied_digest,
+        quarantined_rows=quarantined,
+    )
+    digest_match = final.applied_digest == reference_digest
+    verdict.check(
+        "exactly-once ingestion",
+        final.applied_records == len(kept) and len(kept) > 0 and digest_match,
+        f"applied {final.applied_records} / reference {len(kept)}, "
+        f"digest {'match' if digest_match else 'MISMATCH'}, "
+        f"{quarantined} quarantined")
+    batch_quarantined = quarantine.total_rows - quarantine.kept_rows
+    verdict.check(
+        "quarantine matches batch ingest", quarantined == batch_quarantined,
+        f"tail {quarantined}, batch {batch_quarantined}")
 
     # Breaker verdicts, from the surviving incarnation's restored state.
     breaker = final.controller.breaker(poisoned_edge)
-    report.breaker_state = breaker.state.name
-    report.breaker_opens = breaker.opens
-    report.poisoned_refit_failures = breaker.failures
-    report.poisoned_still_scheduled = (
+    still_scheduled = (
         poisoned_edge in final.controller.due(final.data_now + 1e6))
+    facts.update(
+        breaker_state=breaker.state.name,
+        breaker_opens=breaker.opens,
+        poisoned_refit_failures=breaker.failures,
+        poisoned_still_scheduled=still_scheduled,
+    )
+    verdict.check(
+        "circuit breaker",
+        breaker.state.name == "OPEN" and breaker.opens >= 1
+        and not still_scheduled,
+        f"{facts['poisoned_edge']}: {breaker.state.name}, "
+        f"{breaker.opens} opens, {breaker.failures} consecutive failures")
 
     request = TransferRequest(
         src=poisoned_edge[0], dst=poisoned_edge[1],
         total_bytes=1e10, n_files=100, n_dirs=5,
         concurrency=2, parallelism=4,
     )
+    rate, tier, raised = math.nan, "", ""
     try:
         prediction = final.predictor.predict_batch_detailed(
             [request], final.data_now)
-        report.poisoned_rate = float(prediction.rates[0])
-        report.poisoned_tier = prediction.tiers[0].value
+        rate = float(prediction.rates[0])
+        tier = prediction.tiers[0].value
     except Exception as exc:  # noqa: BLE001 - serving must not raise
-        report.errors.append(f"poisoned-edge prediction raised: {exc!r}")
+        raised = f", raised {exc!r}"
+    facts.update(poisoned_tier=tier, poisoned_rate=rate)
+    verdict.check(
+        "fallback serving",
+        math.isfinite(rate) and rate > 0
+        and tier not in ("", ModelTier.EDGE.value),
+        f"tier={tier or '?'}, rate={rate:.4g} B/s{raised}")
 
     # Never-unseat: the corrupt edge's live entry is the construction-time
     # object, every one of its publishes was refused at the probe gate.
-    report.corrupt_artifacts_published = corrupt_publishes["n"]
-    report.rollbacks = int(
-        obs.registry.flat().get("durability_rollback_total", 0))
-    report.live_model_preserved = (
+    rollbacks = int(obs.registry.flat().get("durability_rollback_total", 0))
+    preserved = (
         final.controller.chain.edge_models.get(corrupt_edge) is base_model)
-    if breaker.state is not BreakerState.OPEN and report.breaker_opens == 0:
-        report.errors.append(
-            f"poisoned breaker never opened (state {breaker.state.name})")
+    facts.update(rollbacks=rollbacks,
+                 corrupt_artifacts_published=len(publishes),
+                 live_model_preserved=preserved)
+    verdict.check(
+        "live model never unseated",
+        preserved and rollbacks >= 1 and len(publishes) >= 1,
+        f"{facts['corrupt_edge']}: {rollbacks} rollbacks over "
+        f"{len(publishes)} corrupted artifacts")
 
     # Alert determinism: the crash-resumed engine ledger vs the
     # uninterrupted reference's, exactly.  Global event seqs differ (the
@@ -531,42 +407,50 @@ def _scenario_crashes(cfg: StreamChaosConfig, root: Path,
 
     crash_ledger = ledger(final.slo)
     ref_ledger = ledger(ref.slo)
-    report.alert_transitions = len(crash_ledger)
-    report.reference_alert_transitions = len(ref_ledger)
-    report.alerts_fired = sum(
-        1 for e in final.slo.alert_log if e["state"] == "firing")
-    report.alerts_match = crash_ledger == ref_ledger
-    report.slo_samples_match = (
+    fired = sum(1 for e in final.slo.alert_log if e["state"] == "firing")
+    samples_match = (
         final.slo.state_dict()["samples"] == ref.slo.state_dict()["samples"])
-    if not report.alerts_match:
-        report.errors.append(
-            f"alert ledgers diverged: crash {crash_ledger} "
-            f"vs reference {ref_ledger}")
-
     # The sink half of the proof: seqs strictly increasing (recovery
     # truncated every superseded tail) and the slo/alert events mirroring
     # the engine ledger one for one.
-    sink = list(read_events(events_path))
+    sink = list(read_events(root / "events.jsonl"))
     seqs = [e.seq for e in sink]
-    report.event_seqs_unique = bool(seqs) and all(
-        b > a for a, b in zip(seqs, seqs[1:]))
+    seqs_unique = bool(seqs) and all(b > a for a, b in zip(seqs, seqs[1:]))
     sink_alerts = [
         (e.attrs.get("alert_seq"), e.attrs.get("slo"),
          e.attrs.get("state"), e.attrs.get("t"))
         for e in sink if e.category == "slo" and e.name == "alert"
     ]
-    report.alert_events_durable = sink_alerts == crash_ledger
-    if not report.alert_events_durable:
-        report.errors.append(
-            f"sink alert events diverged from the engine ledger: "
-            f"{sink_alerts} vs {crash_ledger}")
+    facts.update(
+        alert_transitions=len(crash_ledger),
+        reference_alert_transitions=len(ref_ledger),
+        alerts_fired=fired,
+        alerts_match=crash_ledger == ref_ledger,
+        slo_samples_match=samples_match,
+        event_seqs_unique=seqs_unique,
+        alert_events_durable=sink_alerts == crash_ledger,
+    )
+    detail = (
+        f"{len(crash_ledger)} transitions vs reference {len(ref_ledger)}, "
+        f"{fired} fired; samples {'match' if samples_match else 'MISMATCH'}, "
+        f"seqs {'unique' if seqs_unique else 'DUPLICATED'}, sink "
+        f"{'durable' if sink_alerts == crash_ledger else 'DIVERGED'}")
+    if crash_ledger != ref_ledger:
+        detail += f"; crash {crash_ledger} vs reference {ref_ledger}"
+    if sink_alerts != crash_ledger:
+        detail += f"; sink {sink_alerts} vs engine {crash_ledger}"
+    verdict.check(
+        "alert determinism",
+        crash_ledger == ref_ledger and fired >= 1 and samples_match
+        and seqs_unique and sink_alerts == crash_ledger,
+        detail)
 
 
 # -- scenario B: truncation and rotation --------------------------------------
 
 
 def _scenario_resets(cfg: StreamChaosConfig, root: Path,
-                     report: StreamChaosReport) -> None:
+                     verdict: Verdict) -> None:
     root.mkdir(parents=True, exist_ok=True)
     live = root / "transfers.jsonl"
     state_dir = root / "state"
@@ -584,14 +468,14 @@ def _scenario_resets(cfg: StreamChaosConfig, root: Path,
     text_a, kept_a = content(cfg.seed + 11, n)
     text_b, kept_b = content(cfg.seed + 13, max(12, n // 2))  # shorter
     text_c, kept_c = content(cfg.seed + 17, n)
-    if len(text_c) < len(text_b):
-        report.errors.append("rotation content shorter than its predecessor")
+    if not verdict.check("rotation content no shorter than its predecessor",
+                         len(text_c) >= len(text_b)):
         return
 
     digest = fold_digest("", kept_a.raw())
     digest = fold_digest(digest, kept_b.raw())
     digest = fold_digest(digest, kept_c.raw())
-    report.reset_reference_records = len(kept_a) + len(kept_b) + len(kept_c)
+    reference_records = len(kept_a) + len(kept_b) + len(kept_c)
 
     chain = FallbackChain.from_log(kept_a)
     tail = TailIngester(live, fmt="jsonl", registry=obs.registry,
@@ -614,17 +498,30 @@ def _scenario_resets(cfg: StreamChaosConfig, root: Path,
     supervisor.run(max_cycles=cfg.cycles_per_incarnation)
     # Truncation: the file shrinks below the committed offset.
     live.write_text(text_b)
-    if live.stat().st_size >= tail.offset:
-        report.errors.append("truncation scenario failed to shrink the file")
+    verdict.check("truncation shrank the file below the offset",
+                  live.stat().st_size < tail.offset)
     supervisor.run(max_cycles=cfg.cycles_per_incarnation)
     # Rotation: same-or-larger size, different leading bytes.
     live.write_text(text_c)
     supervisor.run(max_cycles=cfg.cycles_per_incarnation)
 
     flat = obs.registry.flat()
-    report.truncation_resets = int(
+    truncations = int(
         flat.get('stream_tail_resets_total{reason="truncated"}', 0))
-    report.rotation_resets = int(
-        flat.get('stream_tail_resets_total{reason="rotated"}', 0))
-    report.reset_applied_records = supervisor.applied_records
-    report.reset_digest_equal = supervisor.applied_digest == digest
+    rotations = int(flat.get('stream_tail_resets_total{reason="rotated"}', 0))
+    applied = supervisor.applied_records
+    digest_equal = supervisor.applied_digest == digest
+    verdict.facts.update(
+        truncation_resets=truncations,
+        rotation_resets=rotations,
+        reset_reference_records=reference_records,
+        reset_applied_records=applied,
+        reset_digest_equal=digest_equal,
+    )
+    verdict.check(
+        "truncation/rotation",
+        truncations >= 1 and rotations >= 1
+        and applied == reference_records and digest_equal,
+        f"{truncations} truncations, {rotations} rotations, applied "
+        f"{applied} / {reference_records}, "
+        f"digest {'match' if digest_equal else 'MISMATCH'}")

@@ -44,7 +44,7 @@ class TestWriteCorruptJsonl:
 class TestObservedReplay:
     def test_replay_survives_on_kept_rows(self, observed):
         assert observed.report.ok
-        assert observed.report.predictions > 0
+        assert observed.report.facts["predictions"] > 0
         assert observed.quarantine.quarantined_rows > 0
         assert observed.quarantine.kept_rows > 0
 
@@ -67,7 +67,7 @@ class TestObservedReplay:
         assert any(k.startswith("trace_spans_total") for k in flat)
 
     def test_drift_summary_in_report(self, observed):
-        drift = observed.report.drift
+        drift = observed.report.facts["drift"]
         assert drift["observations"] > 0
         assert math.isfinite(drift["overall"]["mdape"])
         assert drift["edges"]
@@ -95,18 +95,20 @@ class TestInstrumentedVsPlainReplay:
         cfg = ChaosConfig.quick(seed=7)
         plain = run_chaos_replay(cfg)
         instrumented = run_chaos_replay(cfg, obs=Observability.create())
-        assert instrumented.injected == plain.injected
-        assert instrumented.events == plain.events
-        assert instrumented.final_active == plain.final_active
-        assert instrumented.consistent and plain.consistent
-        assert instrumented.drift["observations"] > 0
-        assert plain.drift == {}
+        assert instrumented.facts["injected_faults"] == \
+            plain.facts["injected_faults"]
+        assert instrumented.facts["events"] == plain.facts["events"]
+        assert instrumented.facts["final_active"] == plain.facts["final_active"]
+        assert instrumented.passed("active population consistent")
+        assert plain.passed("active population consistent")
+        assert instrumented.facts["drift"]["observations"] > 0
+        assert "drift" not in plain.facts
 
     def test_progress_hook_fires(self):
         seen = []
         run_chaos_replay(
             ChaosConfig.quick(),
-            progress=lambda report: seen.append(report.events),
+            progress=lambda report: seen.append(report.facts["events"]),
             progress_every=50,
         )
         assert seen and all(e % 50 == 0 for e in seen)

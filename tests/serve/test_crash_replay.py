@@ -10,7 +10,7 @@ import pytest
 
 from repro.serve.chaos import (
     ChaosConfig,
-    make_durable_events,
+    make_mutation_stream,
     run_crash_replay,
 )
 
@@ -22,12 +22,12 @@ def quick():
 
 class TestEventStream:
     def test_deterministic(self, quick):
-        # repr-compare: the stream deliberately contains NaN rates, and
-        # NaN != NaN under plain equality.
-        assert repr(make_durable_events(quick)) == repr(make_durable_events(quick))
+        # Plain equality holds: NaN rates ride in wire form ("nan").
+        a, b = make_mutation_stream(quick), make_mutation_stream(quick)
+        assert a.mutations == b.mutations and a.injected == b.injected
 
     def test_covers_all_ops(self, quick):
-        ops = {e["op"] for e in make_durable_events(quick)}
+        ops = {m[0] for _, m in make_mutation_stream(quick)}
         assert ops == {"add", "progress", "complete", "drift"}
 
 
@@ -35,13 +35,13 @@ class TestCrashProperty:
     def test_default_kill_is_equivalent(self, quick):
         report = run_crash_replay(quick)
         assert report.ok, report.render()
-        assert report.recovery["snapshot_generation"] >= 1
-        assert report.resumed_events > 0
-        assert report.max_prediction_delta == 0.0
+        assert report.facts["recovery"]["snapshot_generation"] >= 1
+        assert report.facts["resumed_events"] > 0
+        assert report.facts["max_prediction_delta"] == 0.0
 
     @pytest.mark.parametrize("fraction", [0.0, 0.15, 0.5, 0.85, 1.0])
     def test_kill_anywhere(self, quick, fraction):
-        n = len(make_durable_events(quick))
+        n = len(make_mutation_stream(quick))
         report = run_crash_replay(
             quick, kill_after_events=int(n * fraction))
         assert report.ok, report.render()
@@ -52,19 +52,25 @@ class TestCrashProperty:
         report = run_crash_replay(quick, cut_bytes=cut)
         assert report.ok, report.render()
         if cut:
-            assert report.recovery["truncated_bytes"] >= cut
+            assert report.facts["recovery"]["truncated_bytes"] >= cut
 
     def test_corrupt_snapshot_falls_back(self, quick):
         report = run_crash_replay(quick, corrupt_snapshot=True)
         assert report.ok, report.render()
-        assert report.recovery["snapshot_fallbacks"] == 1
+        assert report.facts["recovery"]["snapshot_fallbacks"] == 1
 
     def test_sparse_snapshots_long_replay(self, quick):
         report = run_crash_replay(quick, snapshot_every=10_000)
         assert report.ok, report.render()
         # No snapshot ever happened: pure journal replay.
-        assert report.recovery["snapshot_generation"] == 0
-        assert report.recovery["replayed_records"] > 0
+        assert report.facts["recovery"]["snapshot_generation"] == 0
+        assert report.facts["recovery"]["replayed_records"] > 0
+
+    def test_negative_tear_rejected(self, quick, tmp_path):
+        """A negative cut would grow the journal, not tear it."""
+        with pytest.raises(ValueError, match="cut_bytes"):
+            run_crash_replay(quick, state_dir=tmp_path, cut_bytes=-40)
+        assert not any(tmp_path.iterdir())
 
     def test_report_renders(self, quick):
         report = run_crash_replay(quick)

@@ -7,18 +7,21 @@ recovery edge cases directly.
 """
 
 import json
+import math
 
 import pytest
 
 from repro.core.online import ActiveTransferView
 from repro.obs import Observability
+from repro.serve.active_set import view_to_dict
 from repro.serve.durability import (
     DurabilityConfig,
     Journal,
+    ServingState,
     SnapshotStore,
     recover_serving_state,
 )
-from repro.serve.durability.journal import _HEADER
+from repro.serve.durability.journal import _HEADER, wire_float
 
 
 def _view(src="A", dst="B", rate=1e8, started_at=0.0):
@@ -275,29 +278,10 @@ class TestRecovery:
         leave bit-identical working state (journaling is a pure tap)."""
         durable, _ = recover_serving_state(tmp_path)
         _feed(durable, n=10)
-
-        plain_obs = Observability.create(trace=False)
-        from repro.serve.active_set import ActiveSet
-
-        active = ActiveSet(lenient=True, obs=plain_obs)
-
-        class Plain:
-            def add(self, tid, view):
-                active.add(tid, view)
-
-            def progress(self, tid, rate=None, expected_end=None):
-                active.progress(tid, rate=rate, expected_end=expected_end)
-
-            def complete(self, tid):
-                active.complete(tid)
-
-            def record_drift(self, src, dst, tier, p, r):
-                plain_obs.drift.record(src, dst, tier, p, r)
-
-        plain = Plain()
+        plain = ServingState()
         _feed(plain, n=10)
-        assert durable.active.snapshot_state() == active.snapshot_state()
-        assert durable.drift.dump_state() == plain_obs.drift.dump_state()
+        assert durable.active.snapshot_state() == plain.active.snapshot_state()
+        assert durable.drift.dump_state() == plain.drift.dump_state()
         durable.close()
 
     def test_auto_snapshot_cadence_and_wal_pruning(self, tmp_path):
@@ -339,3 +323,56 @@ class TestRecovery:
         recovered, _ = recover_serving_state(tmp_path)
         assert recovered.registry.flat()["active_set_adds_total"] == expected
         recovered.close()
+
+
+# -- the wire form ------------------------------------------------------------
+
+
+class TestServingStateApply:
+    def test_every_op_matches_the_direct_call(self):
+        view = _view("A", "B")
+        wired, direct = ServingState(), ServingState()
+        for mutation, call in [
+            (["add", 7, view_to_dict(view)], lambda s: s.add(7, view)),
+            (["progress", 7, 2e8, None], lambda s: s.progress(7, rate=2e8)),
+            (["progress", 7, None, 5e3],
+             lambda s: s.progress(7, expected_end=5e3)),
+            (["drift", "A", "B", "edge", 1.1e8, 1e8],
+             lambda s: s.record_drift("A", "B", "edge", 1.1e8, 1e8)),
+            (["complete", 7], lambda s: s.complete(7)),
+        ]:
+            wired.apply(mutation)
+            call(direct)
+            assert wired.state_fingerprint() == direct.state_fingerprint()
+        assert wired.fingerprint_digest() == direct.fingerprint_digest()
+        assert wired.drift.observations == 1 and len(wired.active) == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_progress_crosses_the_wire(self, bad, tmp_path):
+        mutation = ["progress", 7, wire_float(bad), None]
+        assert isinstance(mutation[2], str)
+        json.dumps(mutation, allow_nan=False)  # a strict-JSON shard frame
+
+        lenient = ServingState()
+        lenient.add(7, _view())
+        before = lenient.state_fingerprint()
+        lenient.apply(mutation)
+        assert lenient.state_fingerprint() == before
+        assert lenient.active.stats.rejected_progress == 1
+
+        strict = ServingState(lenient=False)
+        strict.add(7, _view())
+        with pytest.raises(ValueError):
+            strict.apply(mutation)  # arrived as the float, not the string
+
+        # The journaled subclass records the same wire spelling.
+        durable, _ = recover_serving_state(tmp_path)
+        durable.add(7, _view())
+        durable.apply(mutation)
+        durable.close()
+        records = Journal.scan_file(tmp_path / "wal-00000000.log").records
+        assert records[-1]["rate"] == repr(bad)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown mutation kind"):
+            ServingState().apply(["teleport", 1])

@@ -21,13 +21,13 @@ from repro.serve.shard import (
     run_shard_bench,
     run_shard_chaos,
 )
-from repro.serve.shard.chaos import make_chaos_chain
+from repro.serve.shard.chaos import make_full_coverage_chain
 
 N_ENDPOINTS = 6
 
 
 def _fixture_data(n_views=60, n_requests=24, seed=0):
-    chain = make_chaos_chain(N_ENDPOINTS, seed=seed)
+    chain = make_full_coverage_chain(N_ENDPOINTS, seed=seed)
     views = make_synthetic_views(
         n_views, n_endpoints=N_ENDPOINTS, seed=seed, now=0.0)
     requests = make_synthetic_requests(
@@ -102,18 +102,18 @@ class TestFailover:
         assert cluster.seq == seq_before
 
     def test_restarted_shard_fingerprint_matches_reference(self, cluster3):
-        from repro.serve.shard.chaos import _Reference
+        from repro.serve.durability import ServingState
 
         cluster, chain, views, requests = cluster3
-        twin = _Reference(chain)
+        twin = ServingState()
         for i, v in enumerate(views):
-            twin.apply(["add", i, v])
+            twin.apply(["add", i, view_to_dict(v)])
         cluster.kill("shard-0")
         cluster.restart("shard-0")
         fps = cluster.fingerprints()
         # Full replication: every shard holds the whole population, so
         # all fingerprints agree — with each other and with the twin.
-        assert set(fps.values()) == {twin.fingerprint()}
+        assert set(fps.values()) == {twin.fingerprint_digest()}
 
     def test_kill_between_mutations_loses_nothing(self, cluster3):
         cluster, chain, views, requests = cluster3
@@ -226,6 +226,38 @@ class TestChaosAndBench:
             ShardChaosConfig.quick(), state_root=tmp_path / "chaos")
         assert report.ok, report.render()
         assert report.as_dict()["restarts"] >= 1
+        # The script itself ran: every kill, drain, rebalance, checkpoint.
+        for name in ("every scripted kill delivered", "configured drain ran",
+                     "configured rebalance ran", "configured checkpoint ran"):
+            assert report.passed(name), report.render()
+
+    @pytest.mark.parametrize("field", [
+        "drain_round", "rebalance_round", "checkpoint_round"])
+    def test_fault_rounds_outside_the_run_rejected(self, field):
+        inside = dict(rounds=5, drain_round=2, rebalance_round=4,
+                      checkpoint_round=3)
+        for bad in (5, -1):
+            with pytest.raises(ValueError, match=field):
+                ShardChaosConfig(**{**inside, field: bad})
+        ShardChaosConfig(**{**inside, field: None})
+
+    def test_cli_default_rounds_reject_out_of_run_rebalance(self):
+        """`shard chaos --rounds 5` used to pass without ever
+        rebalancing (the default rebalance round 5 is past the run)."""
+        with pytest.raises(ValueError, match="rebalance_round"):
+            ShardChaosConfig(rounds=5, shards=2, kill_rounds=(1, 3, 4))
+
+    def test_undelivered_kill_fails_the_verdict(self, tmp_path):
+        """A repeated kill round can kill only once: the kill-count
+        check must catch the script promising more than it delivered."""
+        config = ShardChaosConfig(
+            shards=2, rounds=2, n_seed_views=20, n_requests=8,
+            mutations_per_round=8, kill_rounds=(1, 1), drain_round=None,
+            rebalance_round=None, checkpoint_round=None)
+        report = run_shard_chaos(config, state_root=tmp_path / "chaos")
+        assert not report.passed("every scripted kill delivered")
+        assert not report.ok
+        assert report.facts["kills"] == 1
 
     def test_bench_parity_small(self, tmp_path):
         result = run_shard_bench(

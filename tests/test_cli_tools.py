@@ -307,6 +307,46 @@ class TestChaos:
         assert "verdict" in out and "OK" in out
 
 
+class TestFailingVerdicts:
+    """Every proof command turns a failing Verdict into exit code 1 and
+    names the failed check."""
+
+    @pytest.mark.parametrize("module, harness, argv", [
+        ("repro.serve.chaos", "run_chaos_replay", ["chaos", "--quick"]),
+        ("repro.serve.chaos", "run_crash_replay",
+         ["state", "verify", "--quick"]),
+        ("repro.serve.stream", "run_stream_chaos",
+         ["stream", "chaos", "--quick"]),
+        ("repro.serve.shard", "run_shard_chaos",
+         ["shard", "chaos", "--quick"]),
+    ])
+    def test_failed_check_exits_1(self, monkeypatch, capsys, tmp_path,
+                                  module, harness, argv):
+        import importlib
+
+        from repro.serve.chaos import Verdict
+
+        def failing(*args, **kwargs):
+            verdict = Verdict(title="forced")
+            verdict.check("a passing check", True)
+            verdict.check("a forced failure", False, "injected by the test")
+            return verdict
+
+        monkeypatch.setattr(importlib.import_module(module), harness, failing)
+        if argv[0] == "shard":
+            argv = argv + ["--json", str(tmp_path / "report.json")]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "verdict                   FAILED" in out
+        assert "a forced failure          FAILED  (injected by the test)" \
+            in out
+        if argv[0] == "shard":
+            report = json.loads((tmp_path / "report.json").read_text())
+            assert report["ok"] is False
+            assert ["a forced failure", False, "injected by the test"] \
+                in report["checks"]
+
+
 class TestServeBench:
     def test_synthetic_bench_runs_and_agrees(self, capsys):
         rc = main(
@@ -375,6 +415,12 @@ class TestState:
         rc = main(["state", "recover", "--dir", str(state_dir)])
         assert rc == 0
         assert "snapshot generation 1" in capsys.readouterr().out
+
+    def test_verify_rejects_negative_tear(self, capsys, tmp_path):
+        rc = main(["state", "verify", "--quick", "--cut-bytes", "-40",
+                   "--dir", str(tmp_path / "sd")])
+        assert rc == 2
+        assert "cut_bytes must be >= 0" in capsys.readouterr().err
 
     def test_verify_populates_state_dir(self, tmp_path):
         state_dir = tmp_path / "crash-state"
